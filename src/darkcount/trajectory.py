@@ -1,30 +1,36 @@
 """Quantum-jump trajectories of the driven-free qubits-cavity system with decay.
 
 Between clicks the state evolves under the non-Hermitian effective
-Hamiltonian H - (i/2) kappa a^dag a; a click applies the jump operator
-sqrt(kappa) a and, for this protocol, terminates the trajectory.  Jumps are
-sampled by the norm-threshold rule: trajectory i clicks when the squared
-norm of the no-jump state first drops below its uniform variate u_i.  The
-squared norm decays monotonically, so the no-click probability converges to
-the dark-projector expectation of the initial state once kappa dominates all
-couplings and the waiting time covers the weakest coupling.
+Hamiltonian H - (i/2) kappa a^dag a; a click is a detected photon and, for
+this protocol, terminates the trajectory.  Jumps are sampled by the
+norm-threshold rule: trajectory i clicks when the squared norm of the
+no-jump state first drops below its uniform variate u_i.
+
+The no-jump generator conserves excitation number, so the whole run lives
+on the block of states |q, k> with popcount(q) + k = s: 163 states at
+(N, s) = (8, 4) against 1280 for the full truncated space.  There the
+propagator over one grid step is taken exactly with ``expm``; omega is a
+constant on the block and only adds a phase.  The squared norm decays
+monotonically, so the no-click probability converges to the dark-projector
+expectation of the initial state once kappa dominates all couplings and the
+waiting time covers the weakest coupling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
-from .operators import HamiltonianModel, PureState, build_hamiltonian
+from .operators import HamiltonianModel, PureState, build_hamiltonian, excitation_number
 
-DT_RATE_FACTOR = 0.01  # dt <= DT_RATE_FACTOR / max(kappa, max|g|)
 NORM_GRID_POINTS = 4096
 
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryConfig:
-    """One heralding run: model, decay, horizon, step, statistics, seed.
+    """One heralding run: model, decay, horizon, statistics, seed.
 
     ``initial`` is an occupation pattern with the cavity empty, or a
     zero-photon sector PureState for superposition inputs.  ``waiting_factor``
@@ -36,7 +42,6 @@ class TrajectoryConfig:
     model: HamiltonianModel
     kappa: float
     t_max: float
-    dt: float
     n_trajectories: int
     seed: int
     initial: int | PureState
@@ -47,12 +52,6 @@ class TrajectoryConfig:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1")
-        rate = max(self.kappa, self.model.profile.max_magnitude)
-        if self.dt > DT_RATE_FACTOR / rate * (1.0 + 1e-12):
-            raise ValueError(
-                f"dt={self.dt:g} too coarse: needs dt <= {DT_RATE_FACTOR / rate:g} "
-                f"for the fastest rate {rate:g}"
-            )
         g_min = self.model.profile.min_magnitude
         if self.t_max * g_min < self.waiting_factor * (1.0 - 1e-12):
             raise ValueError(
@@ -65,6 +64,11 @@ class TrajectoryConfig:
                 f"photon truncation {self.model.n_photon_max} cannot hold the "
                 f"{n_exc} initial excitations"
             )
+
+    @property
+    def dt(self) -> float:
+        """Spacing of the norm grid: t_max split into NORM_GRID_POINTS exact steps."""
+        return self.t_max / NORM_GRID_POINTS
 
     def _initial_excitations(self) -> int:
         if isinstance(self.initial, PureState):
@@ -98,17 +102,11 @@ def standard_config(
     seed: int = 0,
     waiting_factor: float = 50.0,
 ) -> TrajectoryConfig:
-    """Config with the default policies: kappa = ratio * max|g|, dt and t_max derived."""
-    g_max = model.profile.max_magnitude
-    g_min = model.profile.min_magnitude
-    kappa = kappa_ratio * g_max
-    dt = DT_RATE_FACTOR / max(kappa, g_max)
-    t_max = waiting_factor / g_min
+    """Config with the default policies: kappa = ratio * max|g|, t_max = factor / min|g|."""
     return TrajectoryConfig(
         model=model,
-        kappa=kappa,
-        t_max=t_max,
-        dt=dt,
+        kappa=kappa_ratio * model.profile.max_magnitude,
+        t_max=waiting_factor / model.profile.min_magnitude,
         n_trajectories=n_trajectories,
         seed=seed,
         initial=initial,
@@ -145,88 +143,43 @@ class ClickStatistics:
             raise ValueError("click counts do not add up to the trajectory count")
 
 
-def _rk4_step_matrix(h_eff: np.ndarray, dt: float) -> np.ndarray:
-    """One-step propagator of the classical 4th-order scheme for psi' = -i H_eff psi.
+def _no_jump_norm_curve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Squared norm of the no-jump state at the grid times k * dt, k = 0..NORM_GRID_POINTS.
 
-    For a constant generator the RK4 update is the degree-4 Taylor polynomial
-    of exp(-i H_eff dt); precomputing it turns each step into one mat-vec.
-    """
-    a = -1j * dt * h_eff
-    dim = a.shape[0]
-    m = np.eye(dim, dtype=np.complex128)
-    for k in (4, 3, 2, 1):
-        m = np.eye(dim, dtype=np.complex128) + (a / k) @ m
-    return m
-
-
-def _no_jump_norm_curve(
-    config: TrajectoryConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Squared norm of the no-jump state on a time grid, plus the final state.
-
-    Returns (times, norm_sq, psi_final).  The grid subsamples the fixed-step
-    integration at ~NORM_GRID_POINTS points; the step count per grid segment
-    is constant so the walk is exactly the repeated one-step scheme.
+    Restricts H - (i kappa / 2) a^dag a to the initial state's excitation
+    block, takes the one-step propagator exp(-i dt H_blk) exactly, and walks
+    the grid with one mat-vec per point.
     """
     model = config.model
-    h = build_hamiltonian(model).toarray()
-    n_ph_op = np.zeros(model.dim)
-    for pattern in range(1 << model.n_qubits):
-        for k in range(model.n_photon_max + 1):
-            n_ph_op[model.index(pattern, k)] = k
-    h_eff = h - 0.5j * config.kappa * np.diag(n_ph_op)
+    idx = np.flatnonzero(excitation_number(model).diagonal() == config._initial_excitations())
+    n_ph = idx % (model.n_photon_max + 1)  # qubit-major ordering, see HamiltonianModel.index
+    h_blk = build_hamiltonian(model)[idx][:, idx].toarray()
+    h_blk -= 0.5j * config.kappa * np.diag(n_ph)
+    step = scipy.linalg.expm(-1j * config.dt * h_blk)
 
-    n_steps = max(1, int(np.ceil(config.t_max / config.dt)))
-    stride = max(1, n_steps // NORM_GRID_POINTS)
-    m_step = _rk4_step_matrix(h_eff, config.dt)
-    m_stride = np.linalg.matrix_power(m_step, stride)
-
-    psi = config.initial_vector()
-    times = [0.0]
-    norms = [float(np.vdot(psi, psi).real)]
-    done = 0
-    while done + stride <= n_steps:
-        psi = m_stride @ psi
-        done += stride
-        times.append(done * config.dt)
-        norms.append(float(np.vdot(psi, psi).real))
-    while done < n_steps:
-        psi = m_step @ psi
-        done += 1
-        times.append(done * config.dt)
-        norms.append(float(np.vdot(psi, psi).real))
-    return np.array(times), np.array(norms), psi
-
-
-def apply_jump(model: HamiltonianModel, kappa: float, psi: np.ndarray) -> np.ndarray:
-    """Collapse after a detected photon: apply sqrt(kappa) a and renormalize."""
-    p = model.n_photon_max
-    out = np.zeros_like(psi)
-    for pattern in range(1 << model.n_qubits):
-        base = model.index(pattern, 0)
-        for k in range(1, p + 1):
-            out[base + k - 1] += np.sqrt(kappa * k) * psi[base + k]
-    norm = np.linalg.norm(out)
-    if norm == 0.0:
-        raise ValueError("jump applied to a state with no photon amplitude")
-    return out / norm
+    psi = config.initial_vector()[idx]
+    norms = np.empty(NORM_GRID_POINTS + 1)
+    norms[0] = np.vdot(psi, psi).real
+    for k in range(1, NORM_GRID_POINTS + 1):
+        psi = step @ psi
+        norms[k] = np.vdot(psi, psi).real
+    return config.dt * np.arange(NORM_GRID_POINTS + 1), norms
 
 
 def run_trajectories(config: TrajectoryConfig) -> ClickStatistics:
     """Simulate the heralding measurement over independent trajectories.
 
     All trajectories share the deterministic no-jump segment, so the curve is
-    integrated once; each trajectory compares its own uniform threshold
+    computed once; each trajectory compares its own uniform threshold
     against the monotone squared-norm decay to decide whether and when it
     clicks.  Results are deterministic per seed and independent of any
     parallel scheduling of the comparisons.
     """
-    times, norms, _ = _no_jump_norm_curve(config)
+    times, norms = _no_jump_norm_curve(config)
     drift = np.diff(norms)
     if np.any(drift > 1e-10):
         raise FloatingPointError(
-            f"no-jump norm is not monotone (max increase {drift.max():.3e}); "
-            "decrease dt"
+            f"no-jump norm is not monotone (max increase {drift.max():.3e})"
         )
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     u = rng.uniform(0.0, 1.0, config.n_trajectories)
@@ -270,26 +223,10 @@ def no_click_vs_kappa(
     """Convergence study toward the lossy-cavity limit.
 
     Reruns the base configuration at each decay rate with a shared seed
-    (common random numbers) and horizon, adjusting dt to the fastest rate
-    each time.  Overdamping slows the bright decay (rates scale as
-    sigma^2 / kappa), so at a fixed horizon the no-click probability
-    approaches the dark weight from above as kappa comes DOWN toward the
-    coupling scale; pushing kappa up instead requires growing t_max (or
-    ``waiting_factor``) proportionally.
+    (common random numbers) and horizon.  Overdamping slows the bright decay
+    (rates scale as sigma^2 / kappa), so at a fixed horizon the no-click
+    probability approaches the dark weight from above as kappa comes DOWN
+    toward the coupling scale; pushing kappa up instead requires growing
+    t_max (or ``waiting_factor``) proportionally.
     """
-    out = []
-    for kappa in kappa_list:
-        rate = max(kappa, base.model.profile.max_magnitude)
-        dt = min(base.dt, DT_RATE_FACTOR / rate)
-        config = TrajectoryConfig(
-            model=base.model,
-            kappa=kappa,
-            t_max=base.t_max,
-            dt=dt,
-            n_trajectories=base.n_trajectories,
-            seed=base.seed,
-            initial=base.initial,
-            waiting_factor=base.waiting_factor,
-        )
-        out.append((kappa, run_trajectories(config)))
-    return out
+    return [(kappa, run_trajectories(replace(base, kappa=kappa))) for kappa in kappa_list]

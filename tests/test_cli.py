@@ -156,6 +156,18 @@ def test_consistency_failure_exit_code(capsys, monkeypatch):
     assert code == 2
 
 
+def test_consistency_failure_names_every_method(capsys, monkeypatch):
+    import darkcount.cli as cli
+
+    class WrongSubspace:
+        nullity = 7
+
+    monkeypatch.setattr(cli, "dark_subspace", lambda n, s, profile: WrongSubspace())
+    code = main(["count", "--n", "4", "--s", "2"])
+    assert code == 2
+    assert "s=2: formula 2, numeric 7, oracle 2, exact_modp 2" in capsys.readouterr().err
+
+
 def test_error_exit_code(capsys):
     code, _ = run_cli(capsys, "count", "--n", "4", "--s", "9")
     assert code == 1
