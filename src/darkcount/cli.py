@@ -45,7 +45,7 @@ from .darkspace import (
     rank_numeric,
     verify_dark,
 )
-from .operators import HamiltonianModel, build_lowering_block, total_sz
+from .operators import HamiltonianModel, build_lowering_block
 from .protocol import measure_d, monte_carlo_protocol
 from .trajectory import no_click_vs_kappa, run_trajectories, standard_config
 
@@ -274,8 +274,7 @@ def cmd_darkbasis(args) -> dict:
     }
     if s >= 1:
         op = build_lowering_block(n, s, profile)
-        sz = total_sz(n)
-        verdicts = [verify_dark(state, op, sz).passed for state in sub.basis]
+        verdicts = [verify_dark(state, op).passed for state in sub.basis]
         checks["all_basis_states_verified_dark"] = all(verdicts)
     ok = checks["trace_matches_nullity"] and herm <= 1e-12 and idem <= 1e-10 and checks.get(
         "all_basis_states_verified_dark", True
@@ -318,7 +317,7 @@ def cmd_montecarlo(args) -> dict:
     n, s = args.n, args.s
     profile = _profile_from_args(args, n)
     mc = monte_carlo_protocol(n, s, profile, trials=args.trials, seed=args.seed)
-    exact = measure_d(n, s, profile).d_of_s
+    exact = mc.exact_d
     dev = abs(mc.estimated_d - exact)
     limit = max(5.0 * mc.standard_error, 1e-9)
     if dev > limit:

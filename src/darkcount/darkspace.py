@@ -3,7 +3,8 @@
 Two independent routes to the same integers:
 
 * a floating-point route (SVD with an explicit, auditable tolerance policy)
-  that also yields an orthonormal dark basis and the dark projector;
+  that also yields an orthonormal dark basis and the dark projector, held as
+  that basis;
 * an exact route over F_p.  For units g_k the lowering block factors as
   L_g = D_{s-1}^{-1} W D_s, with W the 0/1 inclusion matrix of (s-1)-subsets
   in s-subsets, so rank L_g = rank W over F_p.  The rank is first certified
@@ -18,6 +19,7 @@ Two independent routes to the same integers:
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from math import comb
@@ -26,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .couplings import CouplingProfile
-from .operators import PureState, SectorOperator, TotalSz, build_lowering_block
+from .operators import PureState, SectorOperator, build_lowering_block
 from .sector import SectorBasis, enumerate_sector
 
 __all__ = [
@@ -92,34 +94,53 @@ class DarkSubspace:
 
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """Hermitian idempotent P = sum_j |d_j><d_j| over the sector basis."""
+    """Dark projector P = sum_j |d_j><d_j|, held as its orthonormal dark basis.
+
+    ``vectors`` stacks the basis as rows (nullity x dim), so P = V^T V^*.
+    Its diagonal, the null-emission probability of each arrangement, is the
+    squared column norms of V and costs O(nullity dim).  The dense dim x dim
+    ``matrix`` is one GEMM, formed only when something reads it.
+    """
 
     sector: SectorBasis
-    matrix: np.ndarray
-    rank: int
+    vectors: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return self.vectors.shape[0]
 
     def diagonal(self) -> np.ndarray:
-        return np.real(np.diag(self.matrix))
+        v = self.vectors
+        return np.einsum("ji,ji->i", v.real, v.real) + np.einsum("ji,ji->i", v.imag, v.imag)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return self.vectors.T @ self.vectors.conj()
 
 
-def _svd_or_diagnose(op: SectorOperator) -> tuple[np.ndarray, np.ndarray]:
+def _svd_or_diagnose(
+    op: SectorOperator, tol_policy: TolerancePolicy, values_only: bool = False
+) -> tuple[int, float, np.ndarray | None]:
+    """Numerical rank and sigma_max of the block, plus its full V^H unless ``values_only``."""
     dense = op.to_dense()
     try:
-        _, s, vh = scipy.linalg.svd(dense, full_matrices=True)
+        if values_only:
+            s, vh = scipy.linalg.svdvals(dense), None
+        else:
+            _, s, vh = scipy.linalg.svd(dense, full_matrices=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise np.linalg.LinAlgError(
             f"SVD failed on lowering block {op.shape} "
             f"(nnz={op.matrix.nnz}, fro={scipy.linalg.norm(dense):.3e}): {exc}"
         ) from exc
-    return s, vh
+    sigma_max = float(s[0]) if s.size else 0.0
+    rank = int(np.count_nonzero(s > tol_policy.cutoff(sigma_max, op.shape)))
+    return rank, sigma_max, vh
 
 
 def nullity_numeric(op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
     """Count singular values of the lowering block below the policy cutoff."""
-    s, _ = _svd_or_diagnose(op)
-    sigma_max = float(s[0]) if s.size else 0.0
-    cut = tol_policy.cutoff(sigma_max, op.shape)
-    rank = int(np.count_nonzero(s > cut))
+    rank, _, _ = _svd_or_diagnose(op, tol_policy, values_only=True)
     return op.shape[1] - rank
 
 
@@ -136,10 +157,7 @@ def null_basis(
     The vectors are rows of V^H past the numerical rank, already orthonormal;
     no re-orthogonalization step is applied.
     """
-    s, vh = _svd_or_diagnose(op)
-    sigma_max = float(s[0]) if s.size else 0.0
-    cut = tol_policy.cutoff(sigma_max, op.shape)
-    rank = int(np.count_nonzero(s > cut))
+    rank, sigma_max, vh = _svd_or_diagnose(op, tol_policy)
     vecs = vh[rank:].conj()
     states = [PureState(op.source, v.copy(), n_photons=0) for v in vecs]
     rel = tol_policy.relative(op.shape) if tol_policy.absolute is None else (
@@ -170,67 +188,43 @@ def dark_subspace(
 
 
 def projector(sub: DarkSubspace) -> Projector:
-    """P = sum_j |d_j><d_j| over the orthonormal dark basis; zero if the sector is bright."""
-    dim = sub.sector.size
-    p = np.zeros((dim, dim), dtype=np.complex128)
-    for state in sub.basis:
-        v = state.amplitudes
-        p += np.outer(v, v.conj())
-    return Projector(sector=sub.sector, matrix=p, rank=sub.nullity)
+    """The dark projector of ``sub`` as its stacked basis; no rows if the sector is bright."""
+    vectors = np.array([state.amplitudes for state in sub.basis], dtype=np.complex128)
+    return Projector(sector=sub.sector, vectors=vectors.reshape(sub.nullity, sub.sector.size))
 
 
 @dataclass(frozen=True)
 class DarkCheck:
-    """Outcome of certifying one state against the dark-state requirements."""
+    """Outcome of certifying one state against the dark-state requirement."""
 
     passed: bool
     residual_norm: float
     residual_tolerance: float
-    sz_mean: float
-    sz_variance: float
-    sz_tolerance: float
 
 
 def verify_dark(
     state: PureState,
     op: SectorOperator,
-    sz: TotalSz,
     tol_policy: TolerancePolicy = DEFAULT_TOLERANCE,
 ) -> DarkCheck:
     """Certify that a zero-photon sector state is dark.
 
-    Checks the two nontrivial requirements: annihilation by the lowering
-    block (no emission) and a sharp collective S^z (stationarity under the
-    Hamiltonian; the photon part is empty by construction, so the absorption
-    term acts as zero).  Tolerances scale with the Frobenius norm of the
-    block unless the policy fixes an absolute cutoff.
+    The one nontrivial requirement is annihilation by the lowering block (no
+    emission).  Stationarity needs nothing more: a state inside one
+    excitation sector is an S^z eigenstate by construction, and the photon
+    part is empty, so the absorption term acts as zero.  The tolerance
+    scales with the Frobenius norm of the block unless the policy fixes an
+    absolute cutoff.
     """
     if state.basis.states != op.source.states:
         raise ValueError("state does not live in the operator's source sector")
     if state.n_photons != 0:
         raise ValueError("dark-state certification requires an empty photon sector")
-    if sz.n_qubits != state.basis.n_qubits:
-        raise ValueError("S^z operator belongs to a different register size")
 
     scale = float(scipy.linalg.norm(op.matrix.data)) if op.matrix.nnz else 0.0
     tol = tol_policy.cutoff(scale, op.shape)
     residual = float(np.linalg.norm(op.apply(state.amplitudes))) / max(state.norm, 1e-300)
-
-    weights = np.abs(state.amplitudes) ** 2
-    weights = weights / weights.sum()
-    diag = sz.diagonal(state.basis)
-    mean = float(weights @ diag)
-    var = float(weights @ (diag - mean) ** 2)
-    sz_tol = tol_policy.cutoff(1.0, op.shape)
-
-    return DarkCheck(
-        passed=(residual <= tol) and (var <= sz_tol),
-        residual_norm=residual,
-        residual_tolerance=tol,
-        sz_mean=mean,
-        sz_variance=var,
-        sz_tolerance=sz_tol,
-    )
+    return DarkCheck(passed=residual <= tol, residual_norm=residual, residual_tolerance=tol)
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Zero-photon heralding protocol: null-emission probabilities and their sum.
 
 For an initial product arrangement the probability of never seeing a click
-is the diagonal entry of the dark projector at that arrangement.  Summing
-over all arrangements of s excitations traces the projector, so the total is
-the dark-state count itself, whatever the couplings.  A Bernoulli sampler
-emulates the finite-statistics experiment.
+is the diagonal entry of the dark projector at that arrangement, the squared
+norm of that coordinate over the orthonormal dark basis.  Summing over all
+arrangements of s excitations traces the projector, so the total is the
+dark-state count itself, whatever the couplings.  No dim x dim projector is
+formed: the largest dense object is the full V^H of the lowering block's
+SVD.  A Bernoulli sampler emulates the finite-statistics experiment.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .darkspace import DEFAULT_TOLERANCE, Projector, TolerancePolicy, dark_subsp
 from .operators import PureState
 from .sector import enumerate_sector, state_index
 
-SECTOR_SIZE_CAP = 5000  # the projector is dense: size^2 complex entries
+SECTOR_SIZE_CAP = 5000  # the SVD returns a dense V^H: size^2 complex entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,6 +45,7 @@ class MonteCarloResult:
     trials_per_arrangement: int
     estimated_d: float
     standard_error: float
+    exact_d: float  # D(s) of the ideal protocol that the trials sample
     seed: int
     profile_label: str
 
@@ -52,15 +55,15 @@ def null_emission_probability(init: int | PureState, proj: Projector) -> float:
 
     For a basis arrangement (occupation pattern) this is the corresponding
     diagonal entry of the dark projector; a normalized superposition state
-    gives the full expectation value <psi|P|psi>.
+    gives the full expectation value <psi|P|psi> = sum_j |<d_j|psi>|^2.
     """
     if isinstance(init, PureState):
         if init.basis.states != proj.sector.states:
             raise ValueError("state and projector belong to different sectors")
-        amps = init.normalized().amplitudes
-        return float(np.real(np.vdot(amps, proj.matrix @ amps)))
+        overlaps = proj.vectors.conj() @ init.normalized().amplitudes
+        return float(np.vdot(overlaps, overlaps).real)
     k = state_index(proj.sector, init)  # validates popcount and bit range
-    return float(np.real(proj.matrix[k, k]))
+    return float(proj.diagonal()[k])
 
 
 def measure_d(
@@ -128,6 +131,7 @@ def monte_carlo_protocol(
         trials_per_arrangement=trials,
         estimated_d=estimate,
         standard_error=float(np.sqrt(var_sum)),
+        exact_d=exact.d_of_s,
         seed=seed,
         profile_label=profile.label,
     )

@@ -16,6 +16,7 @@ from darkcount.darkspace import (
     DEFAULT_TOLERANCE,
     MERSENNE_61,
     EliminationBudgetExceeded,
+    Projector,
     TolerancePolicy,
     dark_subspace,
     null_basis,
@@ -26,11 +27,7 @@ from darkcount.darkspace import (
     verify_dark,
 )
 from darkcount.counting import ndark_formula
-from darkcount.operators import (
-    build_lowering_block,
-    single_excitation_dark_states,
-    total_sz,
-)
+from darkcount.operators import build_lowering_block, single_excitation_dark_states
 
 
 def brute_force_nullity(op):
@@ -158,6 +155,46 @@ def test_projector_algebra(n, s, seed):
     assert abs(np.trace(p).real - proj.rank) <= 1e-9
 
 
+def _outer_product_sum(sub):
+    """Reference projector: the explicit sum of |d_j><d_j| over the dark basis."""
+    p = np.zeros((sub.sector.size, sub.sector.size), dtype=np.complex128)
+    for state in sub.basis:
+        p += np.outer(state.amplitudes, state.amplitudes.conj())
+    return p
+
+
+@pytest.mark.parametrize("n,s", [(4, 2), (6, 3), (8, 3), (4, 3), (5, 0)])
+def test_projector_matrix_matches_outer_product_sum(n, s):
+    # (4, 3) is a bright sector (nullity 0); s = 0 is the all-ground convention
+    sub = dark_subspace(n, s, sample_profile(n, DEFAULT_DISORDER, seed=n + s))
+    proj = projector(sub)
+    assert proj.matrix.shape == (sub.sector.size, sub.sector.size)
+    assert np.abs(proj.matrix - _outer_product_sum(sub)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n,s", [(4, 2), (6, 3), (8, 3), (4, 3), (5, 0)])
+def test_projector_diagonal_is_matrix_diagonal(n, s):
+    proj = projector(dark_subspace(n, s, sample_profile(n, DEFAULT_DISORDER, seed=n + s)))
+    diag = proj.diagonal()
+    assert diag.dtype == np.float64
+    assert np.abs(diag - np.real(np.diag(proj.matrix))).max(initial=0.0) <= 1e-14
+
+
+def test_protocol_paths_never_form_the_dense_projector(monkeypatch, capsys):
+    from darkcount.cli import main
+    from darkcount.protocol import measure_d, monte_carlo_protocol
+
+    def dense(self):
+        pytest.fail("the dense dim x dim projector was formed")
+
+    monkeypatch.setattr(Projector, "matrix", property(dense))
+    profile = sample_profile(6, DEFAULT_DISORDER, seed=1)
+    assert measure_d(6, 3, profile).d_of_s == pytest.approx(5.0, abs=1e-9)
+    monte_carlo_protocol(6, 3, profile, trials=100, seed=0)
+    assert main(["trajectory", "--n", "4", "--s", "2", "--trajectories", "50"]) == 0
+    assert "projector_expectation" in capsys.readouterr().out
+
+
 def test_dark_subspace_zero_excitation_convention():
     profile = sample_profile(5, DEFAULT_DISORDER, seed=4)
     sub = dark_subspace(5, 0, profile)
@@ -172,10 +209,9 @@ def test_verify_dark_accepts_singlet():
     profile = uniform_profile(2, 1.0)
     op = build_lowering_block(2, 1, profile)
     singlet = single_excitation_dark_states(profile)[0]
-    report = verify_dark(singlet, op, total_sz(2))
+    report = verify_dark(singlet, op)
     assert report.passed
     assert report.residual_norm <= report.residual_tolerance
-    assert report.sz_variance <= report.sz_tolerance
 
 
 def test_verify_dark_rejects_bright_state():
@@ -185,7 +221,7 @@ def test_verify_dark_rejects_bright_state():
     profile = uniform_profile(2, 1.0)
     op = build_lowering_block(2, 1, profile)
     e1 = PureState(enumerate_sector(2, 1), np.array([1.0, 0.0]))
-    report = verify_dark(e1, op, total_sz(2))
+    report = verify_dark(e1, op)
     assert not report.passed
     assert report.residual_norm > report.residual_tolerance
 
@@ -193,9 +229,8 @@ def test_verify_dark_rejects_bright_state():
 def test_verify_dark_analytic_states_random_profile():
     profile = sample_profile(6, DEFAULT_DISORDER, seed=12)
     op = build_lowering_block(6, 1, profile)
-    sz = total_sz(6)
     for d in single_excitation_dark_states(profile):
-        assert verify_dark(d, op, sz).passed
+        assert verify_dark(d, op).passed
 
 
 def test_verify_dark_sector_mismatch():
@@ -203,7 +238,7 @@ def test_verify_dark_sector_mismatch():
     op = build_lowering_block(3, 2, profile)
     d = single_excitation_dark_states(profile)[0]
     with pytest.raises(ValueError, match="sector"):
-        verify_dark(d, op, total_sz(3))
+        verify_dark(d, op)
 
 
 # -- exact rank over F_p -------------------------------------------------------

@@ -27,6 +27,17 @@ def test_dark_superposition_never_emits():
         assert null_emission_probability(d, proj) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_superposition_probability_matches_dense_expectation():
+    profile = sample_profile(6, DEFAULT_DISORDER, seed=9)
+    proj = projector(dark_subspace(6, 3, profile))
+    rng = np.random.default_rng(0)
+    amps = rng.normal(size=20) + 1j * rng.normal(size=20)
+    state = PureState(enumerate_sector(6, 3), amps)
+    psi = state.normalized().amplitudes
+    dense = np.vdot(psi, proj.matrix @ psi).real
+    assert abs(null_emission_probability(state, proj) - dense) <= 1e-12
+
+
 def test_bright_sector_probability_zero():
     profile = sample_profile(4, DEFAULT_DISORDER, seed=2)
     proj = projector(dark_subspace(4, 3, profile))
@@ -129,6 +140,24 @@ def test_monte_carlo_unbiased_over_seeds():
     mean = np.mean([r.estimated_d for r in runs])
     combined_se = np.sqrt(np.mean([r.standard_error**2 for r in runs]) / len(runs))
     assert abs(mean - exact) <= 4.0 * combined_se
+
+
+def test_montecarlo_command_measures_d_once(monkeypatch, capsys):
+    import darkcount.cli
+    import darkcount.protocol
+    from darkcount.cli import main
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return measure_d(*args, **kwargs)
+
+    monkeypatch.setattr(darkcount.protocol, "measure_d", counted)
+    monkeypatch.setattr(darkcount.cli, "measure_d", counted)
+    assert main(["montecarlo", "--n", "6", "--s", "3", "--trials", "100"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
 
 
 def test_monte_carlo_validates_trials():
