@@ -54,7 +54,7 @@ OUTPUT_DIR_ENV = "DARKCOUNT_OUTPUT_DIR"
 
 ORACLE_CAP = 10  # dense 2^N diagonalization
 NUMERIC_SECTOR_CAP = 4000  # dense SVD columns
-EXACT_SECTOR_CAP = 2000  # mod-p elimination, CLI default
+EXACT_SECTOR_CAP = 2000  # exact F_p rank (certificate, elimination fallback), CLI default
 
 DISORDER_PRESETS = {
     "log3": DisorderSpec(1e-3, 1.0, True, "log-uniform"),
@@ -108,6 +108,11 @@ def _payload(command: str, config: dict, data: dict) -> dict:
 
 def _bitstring(pattern: int, n: int) -> str:
     return format(pattern, f"0{n}b")
+
+
+def _margins(report: dict) -> dict:
+    """A numeric-rank report rounded to 4 significant digits, so reruns reproduce it."""
+    return {k: None if v is None else float(f"{v:.4g}") for k, v in report.items()}
 
 
 def _profile_from_args(args, n_qubits: int) -> CouplingProfile:
@@ -179,9 +184,13 @@ def cmd_count(args) -> dict:
         methods: dict[str, dict] = {}
         size = comb(n, s)
 
-        if size <= NUMERIC_SECTOR_CAP:
-            nullity = dark_subspace(n, s, profile).nullity
-            methods["numeric"] = {"ran": True, "value": nullity}
+        if s == 0:
+            # no lowering block: the all-ground state is dark by convention
+            methods["numeric"] = {"ran": True, "value": 1}
+        elif size <= NUMERIC_SECTOR_CAP:
+            how = {}
+            rank = rank_numeric(build_lowering_block(n, s, profile), report=how)
+            methods["numeric"] = {"ran": True, "value": size - rank, **_margins(how)}
         else:
             methods["numeric"] = {"ran": False, "why": f"sector size {size} over cap"}
 
@@ -242,10 +251,12 @@ def cmd_rank(args) -> dict:
             raise ValueError(f"sector size {size} exceeds the dense SVD cap")
         profile = _profile_from_args(args, n)
         op = build_lowering_block(n, s, profile)
-        rank = rank_numeric(op)
+        how = {}
+        rank = rank_numeric(op, report=how)
         records.append(
             {"N": n, "s": s, "method": "svd", "rank": rank, "nullity": size - rank,
-             "tolerance": DEFAULT_TOLERANCE.relative(op.shape), "seed": args.seed}
+             "tolerance": DEFAULT_TOLERANCE.relative(op.shape), "seed": args.seed,
+             **_margins(how)}
         )
     ranks = {r["rank"] for r in records}
     if len(ranks) > 1:
@@ -481,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--all-s", action="store_true")
     p.add_argument("--exact-cap", type=int, default=EXACT_SECTOR_CAP,
-                   help="largest sector size for the mod-p elimination")
+                   help="largest sector size for the exact F_p rank")
     _add_profile_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_count, format="json")
@@ -491,9 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--method", choices=["modp", "numeric", "both"], default="modp")
     p.add_argument("--budget", type=float, default=None,
-                   help="wall-clock budget in seconds for the elimination")
+                   help="wall-clock budget in seconds for the exact rank "
+                        "(certificate and elimination fallback together)")
     p.add_argument("--crosscheck-prime", action="store_true",
-                   help="use the independent second prime (slower scalar path)")
+                   help="use the independent second prime 2^61 - 31")
     _add_profile_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_rank, format="json")

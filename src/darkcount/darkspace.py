@@ -1,20 +1,27 @@
 """Rank, nullity, dark bases and projectors of the sector lowering operators.
 
-Two independent routes to the same integers:
+Everything rests on one gauge identity: for nonzero couplings the lowering
+block factors as L_g = D_{s-1}^{-1} W D_s, with W the 0/1 inclusion matrix of
+(s-1)-subsets in s-subsets and D_s = diag(prod_{k in x} g_k).  So the rank
+never depends on the couplings, while the dark basis, D_s^{-1} ker W made
+orthonormal, does.  Two independent routes give the same integers:
 
-* a floating-point route (SVD with an explicit, auditable tolerance policy)
-  that also yields an orthonormal dark basis and the dark projector, held as
-  that basis;
-* an exact route over F_p.  For units g_k the lowering block factors as
-  L_g = D_{s-1}^{-1} W D_s, with W the 0/1 inclusion matrix of (s-1)-subsets
-  in s-subsets, so rank L_g = rank W over F_p.  The rank is first certified
-  by showing that the Gram matrix of W is invertible mod p (a minimal
-  polynomial found by a Krylov sequence from one basis vector, checked on
-  every coordinate, with nonzero constant term).  This takes about a second
-  at (20, 10).  Where the certificate does not hold (a small prime dividing
-  an eigenvalue of the Gram matrix), sparse Gaussian elimination on L_g with
-  seeded random couplings gives the rank; its fill-in grows steeply with the
-  sector size.
+* a floating-point route with an explicit, auditable tolerance policy.  The
+  numeric rank is taken from the singular values of the equilibrated block
+  D_{s-1} L_g D_s^{-1}, which is W to rounding: real, with condition number
+  at most sqrt(s(N-s+1)/(N-2s+2)) (5.3 at (14, 7)) however wide the
+  disorder.  The couplings are read back off the block and the residual
+  max |entry - 1| is checked, so a block that is not in gauge form raises.
+  The orthonormal dark basis and the dark projector, held as that basis,
+  come from the complex SVD of L_g itself;
+* an exact route over F_p, where rank L_g = rank W as well.  The rank is
+  first certified by showing that the Gram matrix of W is invertible mod p
+  (a minimal polynomial found by a Krylov sequence from one basis vector,
+  checked on every coordinate, with nonzero constant term).  This takes
+  about a second at (20, 10).  Where the certificate does not hold (a small
+  prime dividing an eigenvalue of the Gram matrix), sparse Gaussian
+  elimination on L_g with seeded random couplings gives the rank; its
+  fill-in grows steeply with the sector size.
 """
 
 from __future__ import annotations
@@ -119,15 +126,12 @@ class Projector:
 
 
 def _svd_or_diagnose(
-    op: SectorOperator, tol_policy: TolerancePolicy, values_only: bool = False
-) -> tuple[int, float, np.ndarray | None]:
-    """Numerical rank and sigma_max of the block, plus its full V^H unless ``values_only``."""
+    op: SectorOperator, tol_policy: TolerancePolicy
+) -> tuple[int, float, np.ndarray]:
+    """Numerical rank and sigma_max of the block, plus its full V^H."""
     dense = op.to_dense()
     try:
-        if values_only:
-            s, vh = scipy.linalg.svdvals(dense), None
-        else:
-            _, s, vh = scipy.linalg.svd(dense, full_matrices=True)
+        _, s, vh = scipy.linalg.svd(dense, full_matrices=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise np.linalg.LinAlgError(
             f"SVD failed on lowering block {op.shape} "
@@ -138,15 +142,94 @@ def _svd_or_diagnose(
     return rank, sigma_max, vh
 
 
-def nullity_numeric(op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
-    """Count singular values of the lowering block below the policy cutoff."""
-    rank, _, _ = _svd_or_diagnose(op, tol_policy, values_only=True)
+def _gauge_equilibrated(op: SectorOperator) -> tuple[np.ndarray, float]:
+    """Dense real D_{s-1} L_g D_s^{-1} of a lowering block, and max |entry - 1|.
+
+    The couplings are read back off the block: entry (t, x) is g_i for the
+    qubit i = x \\ t.  Raises ValueError unless every inclusion pair holds
+    one entry and each qubit carries exactly one nonzero coupling.  The
+    scaled entries are then 1 up to the rounding of the gauge products (or
+    not at all where a product under- or overflows), which the residual
+    measures; the block is W to that residual.
+    """
+    coo = op.matrix.tocoo()
+    coo.sum_duplicates()
+    rows, cols, vals = coo.row, coo.col, coo.data
+    src = np.array(op.source.states, dtype=np.int64)
+    tgt = np.array(op.target.states, dtype=np.int64)
+    n, s = op.source.n_qubits, op.source.n_excited
+    bit = src[cols] ^ tgt[rows]
+    if (
+        coo.nnz != s * src.size
+        or np.any((bit == 0) | (bit & (bit - 1) != 0) | ((tgt[rows] | bit) != src[cols]))
+    ):
+        raise ValueError(
+            f"lowering block {op.shape} is not in gauge form: its {coo.nnz} entries "
+            f"are not the {s * src.size} inclusion pairs of the ({n}, {s}) sector"
+        )
+    qubit = np.frexp(bit)[1] - 1  # exact log2 of a power of two
+    g = np.zeros(n, dtype=vals.dtype)
+    g[qubit] = vals
+    if np.any(g[qubit] != vals) or not np.all(g):
+        bad = set(qubit[g[qubit] != vals].tolist()) | set(np.flatnonzero(g == 0).tolist())
+        raise ValueError(
+            f"lowering block {op.shape} is not in gauge form: qubits "
+            f"{sorted(i + 1 for i in bad)} do not carry exactly one nonzero coupling"
+        )
+
+    def gauge(states: np.ndarray) -> np.ndarray:
+        excited = (states[:, None] >> np.arange(n)) & 1 == 1
+        return np.prod(np.where(excited, g, 1.0), axis=1)
+
+    with np.errstate(all="ignore"):  # a product out of range shows in the residual
+        scaled = gauge(tgt)[rows] * vals / gauge(src)[cols]
+        residual = float(np.max(np.abs(scaled - 1.0)))
+    dense = np.zeros(op.shape, order="F")  # LAPACK's layout: svdvals needs no copy
+    dense[rows, cols] = scaled.real
+    return dense, residual
+
+
+def nullity_numeric(
+    op: SectorOperator,
+    tol_policy: TolerancePolicy = DEFAULT_TOLERANCE,
+    report: dict | None = None,
+) -> int:
+    """Count singular values of the gauge-equilibrated block below the policy cutoff.
+
+    Nonsingular diagonal scaling keeps the rank, so the nullity of L_g is
+    read off D_{s-1} L_g D_s^{-1} with one real, values-only SVD.  Raises
+    ValueError when the block is not in gauge form or the equilibration
+    residual max |entry - 1| exceeds ``tol_policy.relative(shape)``.  An
+    ``absolute`` cutoff applies to the equilibrated singular values.  A
+    ``report`` dict, if given, receives ``gauge_residual``, ``kept_margin``
+    (smallest kept singular value over the cutoff) and ``dropped_margin``
+    (largest dropped one over the cutoff, None when none is dropped).
+    """
+    dense, residual = _gauge_equilibrated(op)
+    if not residual <= tol_policy.relative(op.shape):
+        raise ValueError(
+            f"gauge equilibration of lowering block {op.shape} left residual "
+            f"{residual:.3e} over {tol_policy.relative(op.shape):.3e}"
+        )
+    s = scipy.linalg.svdvals(dense, overwrite_a=True, check_finite=False)
+    cutoff = tol_policy.cutoff(float(s[0]), op.shape)
+    rank = int(np.count_nonzero(s > cutoff))
+    if report is not None:
+        report.update(
+            gauge_residual=residual,
+            kept_margin=float(s[rank - 1] / cutoff) if rank else None,
+            dropped_margin=float(s[rank] / cutoff) if rank < s.size else None,
+        )
     return op.shape[1] - rank
 
 
-def rank_numeric(op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
-    """Numerical rank under the same cutoff as :func:`nullity_numeric`."""
-    return op.shape[1] - nullity_numeric(op, tol_policy)
+def rank_numeric(
+    op: SectorOperator,
+    tol_policy: TolerancePolicy = DEFAULT_TOLERANCE,
+    report: dict | None = None,
+) -> int:
+    """Numerical rank under the same cutoff and ``report`` as :func:`nullity_numeric`."""
+    return op.shape[1] - nullity_numeric(op, tol_policy, report)
 
 
 def null_basis(
@@ -159,7 +242,7 @@ def null_basis(
     """
     rank, sigma_max, vh = _svd_or_diagnose(op, tol_policy)
     vecs = vh[rank:].conj()
-    states = [PureState(op.source, v.copy(), n_photons=0) for v in vecs]
+    states = [PureState(op.source, v.copy()) for v in vecs]
     rel = tol_policy.relative(op.shape) if tol_policy.absolute is None else (
         tol_policy.absolute / sigma_max if sigma_max > 0 else tol_policy.absolute
     )
@@ -181,7 +264,7 @@ def dark_subspace(
     """
     if n_excited == 0:
         sector = enumerate_sector(n_qubits, 0)
-        state = PureState(sector, np.ones(1, dtype=np.complex128), n_photons=0)
+        state = PureState(sector, np.ones(1, dtype=np.complex128))
         return DarkSubspace(sector=sector, basis=[state], nullity=1, tolerance_used=0.0)
     op = build_lowering_block(n_qubits, n_excited, profile)
     return null_basis(op, tol_policy)
@@ -218,8 +301,6 @@ def verify_dark(
     """
     if state.basis.states != op.source.states:
         raise ValueError("state does not live in the operator's source sector")
-    if state.n_photons != 0:
-        raise ValueError("dark-state certification requires an empty photon sector")
 
     scale = float(scipy.linalg.norm(op.matrix.data)) if op.matrix.nnz else 0.0
     tol = tol_policy.cutoff(scale, op.shape)

@@ -61,15 +61,10 @@ class SectorOperator:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Amplitudes over one sector's basis, tensored with a photon Fock level.
-
-    Every state this package constructs or certifies has ``n_photons == 0``;
-    the field exists so the photon part of the ket is explicit.
-    """
+    """Amplitudes over one sector's basis, with the cavity empty."""
 
     basis: SectorBasis
     amplitudes: np.ndarray
-    n_photons: int = 0
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -87,11 +82,11 @@ class PureState:
         n = self.norm
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return PureState(self.basis, self.amplitudes / n, self.n_photons)
+        return PureState(self.basis, self.amplitudes / n)
 
     def overlap(self, other: "PureState") -> complex:
-        if other.basis.states != self.basis.states or other.n_photons != self.n_photons:
-            raise ValueError("overlap requires states in the same sector and photon level")
+        if other.basis.states != self.basis.states:
+            raise ValueError("overlap requires states in the same sector")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
@@ -179,7 +174,7 @@ def single_excitation_dark_states(profile: CouplingProfile) -> list[PureState]:
         # basis state with only bit j set sits at index j in canonical order
         amps[j] = -pref * g_last / g[j]
         amps[n - 1] = pref
-        states.append(PureState(basis=basis, amplitudes=amps, n_photons=0))
+        states.append(PureState(basis=basis, amplitudes=amps))
     return states
 
 

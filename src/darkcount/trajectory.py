@@ -72,15 +72,13 @@ class TrajectoryConfig:
 
     def _initial_excitations(self) -> int:
         if isinstance(self.initial, PureState):
-            return self.initial.basis.n_excited + self.initial.n_photons
+            return self.initial.basis.n_excited
         return int(self.initial).bit_count()
 
     def initial_vector(self) -> np.ndarray:
         """Initial state embedded in the full qubit (x) photon space, photons empty."""
         psi = np.zeros(self.model.dim, dtype=np.complex128)
         if isinstance(self.initial, PureState):
-            if self.initial.n_photons != 0:
-                raise ValueError("initial state must have an empty photon sector")
             if self.initial.basis.n_qubits != self.model.n_qubits:
                 raise ValueError("initial state register size differs from the model")
             amps = self.initial.normalized().amplitudes

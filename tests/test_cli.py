@@ -50,6 +50,38 @@ def test_count_all_s(capsys):
     assert [r["formula"] for r in payload["data"]["results"]] == [1, 4, 5, 0, 0, 0]
 
 
+@pytest.mark.parametrize("n,s,g_min", [(8, 4, "1e-8"), (10, 5, "1e-6")])
+def test_count_survives_extreme_disorder(capsys, n, s, g_min):
+    # the SVD of the raw block reported 20 and 55 here: D_s spans g_min^s
+    payload = run_json(capsys, "count", "--n", str(n), "--s", str(s), "--g-min", g_min)
+    numeric = payload["data"]["results"][0]["methods"]["numeric"]
+    assert numeric["value"] == payload["data"]["results"][0]["formula"]
+    assert payload["data"]["all_agree"]
+    assert numeric["gauge_residual"] <= 1e-14
+    assert numeric["kept_margin"] > 1e6
+    assert numeric["dropped_margin"] is None  # the null directions lie past min(m, n)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_count_14_7_numeric_agrees(capsys, seed):
+    # three decades of disorder once cost the raw-block SVD one rank here
+    payload = run_json(capsys, "count", "--n", "14", "--s", "7", "--exact-cap", "4000",
+                       "--seed", str(seed))
+    (result,) = payload["data"]["results"]
+    assert result["methods"]["numeric"]["value"] == 429
+    assert result["methods"]["exact_modp"]["value"] == 429
+
+
+def test_rank_both_survives_extreme_disorder(capsys):
+    payload = run_json(capsys, "rank", "--n", "10", "--s", "5", "--method", "both",
+                       "--g-min", "1e-6")
+    records = payload["data"]["records"]
+    assert [r["rank"] for r in records] == [210, 210]
+    svd = records[1]
+    assert svd["method"] == "svd"
+    assert svd["gauge_residual"] <= 1e-14 and svd["kept_margin"] > 1e6
+
+
 def test_rank_subcommand_records(capsys):
     payload = run_json(capsys, "rank", "--n", "10", "--s", "5", "--method", "both",
                        "--seed", "3")
@@ -139,13 +171,18 @@ def test_trajectory_kappa_sweep(capsys):
     assert errs[0] > errs[2]
 
 
-def test_reruns_are_byte_identical_outside_meta(capsys):
-    def canonical():
-        payload = run_json(capsys, "protocol", "--n", "4", "--s", "2", "--seed", "7")
-        del payload["meta"]
-        return json.dumps(payload, sort_keys=True)
+def canonical_rerun(capsys, command):
+    payload = run_json(capsys, command, "--n", "4", "--s", "2", "--seed", "7")
+    del payload["meta"]
+    return json.dumps(payload, sort_keys=True)
 
-    assert canonical() == canonical()
+
+def test_reruns_are_byte_identical_outside_meta(capsys):
+    assert canonical_rerun(capsys, "protocol") == canonical_rerun(capsys, "protocol")
+
+
+def test_count_margins_rerun_byte_identical(capsys):
+    assert canonical_rerun(capsys, "count") == canonical_rerun(capsys, "count")
 
 
 def test_consistency_failure_exit_code(capsys, monkeypatch):
@@ -159,10 +196,8 @@ def test_consistency_failure_exit_code(capsys, monkeypatch):
 def test_consistency_failure_names_every_method(capsys, monkeypatch):
     import darkcount.cli as cli
 
-    class WrongSubspace:
-        nullity = 7
-
-    monkeypatch.setattr(cli, "dark_subspace", lambda n, s, profile: WrongSubspace())
+    # rank -1 of the 6-column block reads as nullity 7
+    monkeypatch.setattr(cli, "rank_numeric", lambda op, report: -1)
     code = main(["count", "--n", "4", "--s", "2"])
     assert code == 2
     assert "s=2: formula 2, numeric 7, oracle 2, exact_modp 2" in capsys.readouterr().err

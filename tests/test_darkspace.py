@@ -27,7 +27,11 @@ from darkcount.darkspace import (
     verify_dark,
 )
 from darkcount.counting import ndark_formula
-from darkcount.operators import build_lowering_block, single_excitation_dark_states
+from darkcount.operators import (
+    SectorOperator,
+    build_lowering_block,
+    single_excitation_dark_states,
+)
 
 
 def brute_force_nullity(op):
@@ -90,6 +94,45 @@ def test_tolerance_policy_override():
     # absurdly large absolute cutoff wipes out every singular value
     policy = TolerancePolicy(absolute=100.0)
     assert nullity_numeric(op, policy) == 3
+
+
+def test_nullity_report_margins():
+    op = build_lowering_block(4, 3, sample_profile(4, DEFAULT_DISORDER, seed=0))
+    report = {}
+    assert nullity_numeric(op, report=report) == 0
+    assert report["gauge_residual"] <= 1e-15
+    assert report["kept_margin"] > 1e10
+    assert report["dropped_margin"] is None
+    # a cutoff above every singular value keeps none and drops all four
+    report = {}
+    assert rank_numeric(op, TolerancePolicy(absolute=100.0), report) == 0
+    assert report["kept_margin"] is None
+    assert 0 < report["dropped_margin"] < 1
+
+
+def test_nullity_rejects_a_perturbed_entry():
+    op = build_lowering_block(5, 2, sample_profile(5, DEFAULT_DISORDER, seed=3))
+    matrix = op.matrix.copy()
+    matrix.data[7] *= 1.0 + 1e-9
+    bad = SectorOperator(source=op.source, target=op.target, matrix=matrix)
+    with pytest.raises(ValueError, match="gauge form"):
+        nullity_numeric(bad)
+
+
+def test_nullity_rejects_a_missing_entry():
+    op = build_lowering_block(5, 2, uniform_profile(5, 1.0))
+    matrix = op.matrix.tolil()
+    matrix[0, 1] = 0.0
+    bad = SectorOperator(source=op.source, target=op.target, matrix=matrix.tocsc())
+    with pytest.raises(ValueError, match="gauge form"):
+        nullity_numeric(bad)
+
+
+def test_nullity_raises_when_gauge_products_underflow():
+    # prod g over a pair of 1e-200 couplings is 1e-400, below the float range
+    profile = CouplingProfile((1.0, 1e-200, 1e-200, 1.0))
+    with pytest.raises(ValueError, match="residual"):
+        nullity_numeric(build_lowering_block(4, 2, profile))
 
 
 # -- null basis & projector ---------------------------------------------------

@@ -125,7 +125,6 @@ def test_dark_state_family_properties(n, seed):
     for d in states:
         assert d.norm == pytest.approx(1.0, abs=1e-12)
         assert np.count_nonzero(d.amplitudes) == 2
-        assert d.n_photons == 0
         assert np.linalg.norm(op.apply(d.amplitudes)) <= 1e-12 * gmax
     gram = np.array([[a.overlap(b) for b in states] for a in states])
     assert np.linalg.matrix_rank(gram) == n - 1
