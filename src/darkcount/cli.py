@@ -45,8 +45,8 @@ from .darkspace import (
     rank_numeric,
     verify_dark,
 )
-from .operators import HamiltonianModel, build_lowering_block
-from .protocol import measure_d, monte_carlo_protocol
+from .operators import HamiltonianModel, PureState, build_lowering_block
+from .protocol import measure_d, monte_carlo_protocol, null_emission_probability
 from .trajectory import no_click_vs_kappa, run_trajectories, standard_config
 
 SCHEMA_VERSION = 1
@@ -270,9 +270,6 @@ def cmd_darkbasis(args) -> dict:
     profile = _profile_from_args(args, n)
     sub = dark_subspace(n, s, profile)
     proj = projector(sub)
-    basis_out = [
-        [[a.real, a.imag] for a in state.amplitudes] for state in sub.basis
-    ]
     p = proj.matrix
     herm = float(np.abs(p - p.conj().T).max()) if p.size else 0.0
     idem = float(np.abs(p @ p - p).max()) if p.size else 0.0
@@ -285,17 +282,16 @@ def cmd_darkbasis(args) -> dict:
     }
     if s >= 1:
         op = build_lowering_block(n, s, profile)
-        verdicts = [verify_dark(state, op).passed for state in sub.basis]
-        checks["all_basis_states_verified_dark"] = all(verdicts)
-    ok = checks["trace_matches_nullity"] and herm <= 1e-12 and idem <= 1e-10 and checks.get(
-        "all_basis_states_verified_dark", True
-    )
-    if not ok:
+        checks["all_basis_states_verified_dark"] = all(
+            verify_dark(PureState(sub.sector, v), op).passed for v in sub.basis)
+    if not (checks["trace_matches_nullity"] and herm <= 1e-12 and idem <= 1e-10
+            and checks.get("all_basis_states_verified_dark", True)):
         raise ConsistencyError(f"dark basis failed self-checks: {checks}")
     return {
         "n": n, "s": s, "nullity": sub.nullity, "formula": ndark_formula(n, s),
-        "tolerance_used": sub.tolerance_used, "checks": checks,
-        "profile": _profile_config(profile), "basis": basis_out,
+        "nullity_route": sub.nullity_route, **_margins({"qr_margin": sub.qr_margin}),
+        "checks": checks, "profile": _profile_config(profile),
+        "basis": [[[a.real, a.imag] for a in v] for v in sub.basis],
         "projector_diagonal": [float(x) for x in proj.diagonal()],
     }
 
@@ -320,6 +316,7 @@ def cmd_protocol(args) -> dict:
         "d_of_s": result.d_of_s,
         "n_dark_expected": result.n_dark_expected,
         "deviation": deviation,
+        "nullity_route": result.nullity_route, **_margins({"qr_margin": result.qr_margin}),
         "profile": _profile_config(profile),
     }
 
@@ -406,8 +403,6 @@ def cmd_trajectory(args) -> dict:
     expectation = None
     if comb(n, s) <= NUMERIC_SECTOR_CAP:
         proj = projector(dark_subspace(n, s, profile))
-        from .protocol import null_emission_probability
-
         expectation = null_emission_probability(initial, proj)
         data["projector_expectation"] = expectation
 

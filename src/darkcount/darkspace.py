@@ -10,10 +10,10 @@ orthonormal, does.  Two independent routes give the same integers:
   numeric rank is taken from the singular values of the equilibrated block
   D_{s-1} L_g D_s^{-1}, which is W to rounding: real, with condition number
   at most sqrt(s(N-s+1)/(N-2s+2)) (5.3 at (14, 7)) however wide the
-  disorder.  The couplings are read back off the block and the residual
-  max |entry - 1| is checked, so a block that is not in gauge form raises.
-  The orthonormal dark basis and the dark projector, held as that basis,
-  come from the complex SVD of L_g itself;
+  disorder.  The couplings are read back off the block, so a block that is
+  not in gauge form raises.  The dark basis is Rumer's pairing basis of
+  ker W scaled by |D_s|^{-1}, made orthonormal by one real QR; the coupling
+  phases go back on only where the vectors themselves are read;
 * an exact route over F_p, where rank L_g = rank W as well.  The rank is
   first certified by showing that the Gram matrix of W is invertible mod p
   (a minimal polynomial found by a Krylov sequence from one basis vector,
@@ -33,6 +33,7 @@ from math import comb
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .couplings import CouplingProfile
 from .operators import PureState, SectorOperator, build_lowering_block
@@ -66,8 +67,7 @@ __all__ = [
 class TolerancePolicy:
     """Singular-value cutoff: sigma_max * max(dim) * eps * safety_factor.
 
-    ``absolute`` overrides the scaled formula with a fixed cutoff.  Every
-    result that used the policy records the value it resolved to.
+    ``absolute`` overrides the scaled formula with a fixed cutoff.
     """
 
     safety_factor: float = 100.0
@@ -87,76 +87,69 @@ DEFAULT_TOLERANCE = TolerancePolicy()
 
 @dataclass(frozen=True, eq=False)
 class DarkSubspace:
-    """Orthonormal basis of the null space of a lowering block (cavity empty)."""
+    """Orthonormal basis of the null space of a lowering block (cavity empty).
+
+    The gauge makes the basis real up to one unit phase per arrangement: the
+    dark vectors are the rows of ``basis`` (nullity x dim), formed on read
+    as ``real_basis * phases``.  ``nullity_route`` names how the nullity was
+    obtained (the :func:`rank_exact_modp` route, or "convention" at s = 0)
+    and ``qr_margin`` is the smallest |R_jj| of the QR over its cutoff.
+    """
 
     sector: SectorBasis
-    basis: list[PureState]
-    nullity: int
-    tolerance_used: float  # relative to the largest singular value
+    real_basis: np.ndarray
+    phases: np.ndarray
+    nullity_route: str
+    qr_margin: float | None
 
-    def __post_init__(self):
-        if self.nullity != len(self.basis):
-            raise ValueError("nullity must equal the number of basis vectors")
+    @property
+    def nullity(self) -> int:
+        return self.real_basis.shape[0]
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        return self.real_basis * self.phases
 
 
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """Dark projector P = sum_j |d_j><d_j|, held as its orthonormal dark basis.
+    """Dark projector P = sum_j |d_j><d_j|, held as its dark basis d_j = phases * q_j.
 
-    ``vectors`` stacks the basis as rows (nullity x dim), so P = V^T V^*.
-    Its diagonal, the null-emission probability of each arrangement, is the
-    squared column norms of V and costs O(nullity dim).  The dense dim x dim
-    ``matrix`` is one GEMM, formed only when something reads it.
+    ``real_basis`` holds the real orthonormal rows q_j (nullity x dim), so
+    P = diag(phases) Q^T Q diag(phases)^*.  Its diagonal, the null-emission
+    probability of each arrangement, is the squared column norms of the real
+    rows and costs O(nullity dim).  The dense dim x dim ``matrix`` is one
+    real GEMM, formed only when something reads it.
     """
 
     sector: SectorBasis
-    vectors: np.ndarray
+    real_basis: np.ndarray
+    phases: np.ndarray
 
     @property
     def rank(self) -> int:
-        return self.vectors.shape[0]
+        return self.real_basis.shape[0]
 
     def diagonal(self) -> np.ndarray:
-        v = self.vectors
-        return np.einsum("ji,ji->i", v.real, v.real) + np.einsum("ji,ji->i", v.imag, v.imag)
+        return np.einsum("ji,ji->i", self.real_basis, self.real_basis)
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        return self.vectors.T @ self.vectors.conj()
+        return (self.real_basis.T @ self.real_basis) * np.outer(self.phases, self.phases.conj())
 
 
-def _svd_or_diagnose(
-    op: SectorOperator, tol_policy: TolerancePolicy
-) -> tuple[int, float, np.ndarray]:
-    """Numerical rank and sigma_max of the block, plus its full V^H."""
-    dense = op.to_dense()
-    try:
-        _, s, vh = scipy.linalg.svd(dense, full_matrices=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise np.linalg.LinAlgError(
-            f"SVD failed on lowering block {op.shape} "
-            f"(nnz={op.matrix.nnz}, fro={scipy.linalg.norm(dense):.3e}): {exc}"
-        ) from exc
-    sigma_max = float(s[0]) if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol_policy.cutoff(sigma_max, op.shape)))
-    return rank, sigma_max, vh
+def _read_couplings(op: SectorOperator) -> tuple[np.ndarray, sp.coo_matrix]:
+    """The couplings of a lowering block in gauge form, and its entries.
 
-
-def _gauge_equilibrated(op: SectorOperator) -> tuple[np.ndarray, float]:
-    """Dense real D_{s-1} L_g D_s^{-1} of a lowering block, and max |entry - 1|.
-
-    The couplings are read back off the block: entry (t, x) is g_i for the
-    qubit i = x \\ t.  Raises ValueError unless every inclusion pair holds
-    one entry and each qubit carries exactly one nonzero coupling.  The
-    scaled entries are then 1 up to the rounding of the gauge products (or
-    not at all where a product under- or overflows), which the residual
-    measures; the block is W to that residual.
+    Entry (t, x) is g_i for the qubit i = x \\ t.  Raises ValueError unless
+    every inclusion pair holds one entry and each qubit carries exactly one
+    nonzero coupling.
     """
     coo = op.matrix.tocoo()
     coo.sum_duplicates()
     rows, cols, vals = coo.row, coo.col, coo.data
-    src = np.array(op.source.states, dtype=np.int64)
-    tgt = np.array(op.target.states, dtype=np.int64)
+    src = np.array(op.source.states, dtype=np.uint64)  # 64 qubits fill every bit
+    tgt = np.array(op.target.states, dtype=np.uint64)
     n, s = op.source.n_qubits, op.source.n_excited
     bit = src[cols] ^ tgt[rows]
     if (
@@ -176,36 +169,38 @@ def _gauge_equilibrated(op: SectorOperator) -> tuple[np.ndarray, float]:
             f"lowering block {op.shape} is not in gauge form: qubits "
             f"{sorted(i + 1 for i in bad)} do not carry exactly one nonzero coupling"
         )
+    return g, coo
 
-    def gauge(states: np.ndarray) -> np.ndarray:
-        excited = (states[:, None] >> np.arange(n)) & 1 == 1
-        return np.prod(np.where(excited, g, 1.0), axis=1)
 
-    with np.errstate(all="ignore"):  # a product out of range shows in the residual
-        scaled = gauge(tgt)[rows] * vals / gauge(src)[cols]
-        residual = float(np.max(np.abs(scaled - 1.0)))
-    dense = np.zeros(op.shape, order="F")  # LAPACK's layout: svdvals needs no copy
-    dense[rows, cols] = scaled.real
-    return dense, residual
+def _gauge(sector: SectorBasis, g: np.ndarray) -> np.ndarray:
+    """The gauge products D(x) = prod_{k in x} g_k over a sector."""
+    states = np.array(sector.states, dtype=np.uint64)
+    excited = (states[:, None] >> np.arange(g.size, dtype=np.uint64)) & 1 == 1
+    return np.prod(np.where(excited, g, 1.0), axis=1)
 
 
 def nullity_numeric(
-    op: SectorOperator,
-    tol_policy: TolerancePolicy = DEFAULT_TOLERANCE,
-    report: dict | None = None,
+    op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERANCE, report: dict | None = None
 ) -> int:
     """Count singular values of the gauge-equilibrated block below the policy cutoff.
 
     Nonsingular diagonal scaling keeps the rank, so the nullity of L_g is
-    read off D_{s-1} L_g D_s^{-1} with one real, values-only SVD.  Raises
-    ValueError when the block is not in gauge form or the equilibration
-    residual max |entry - 1| exceeds ``tol_policy.relative(shape)``.  An
-    ``absolute`` cutoff applies to the equilibrated singular values.  A
-    ``report`` dict, if given, receives ``gauge_residual``, ``kept_margin``
-    (smallest kept singular value over the cutoff) and ``dropped_margin``
-    (largest dropped one over the cutoff, None when none is dropped).
+    read off D_{s-1} L_g D_s^{-1} with one real, values-only SVD.  Its
+    entries are 1 up to the rounding of the gauge products (or not at all
+    where a product under- or overflows).  Raises ValueError when the block
+    is not in gauge form or the residual max |entry - 1| exceeds
+    ``tol_policy.relative(shape)``.  An ``absolute`` cutoff applies to the
+    equilibrated singular values.  A ``report`` dict, if given, receives
+    ``gauge_residual``, ``kept_margin`` (smallest kept singular value over
+    the cutoff) and ``dropped_margin`` (largest dropped one over the cutoff,
+    None when none is dropped).
     """
-    dense, residual = _gauge_equilibrated(op)
+    g, coo = _read_couplings(op)
+    with np.errstate(all="ignore"):  # a product out of range shows in the residual
+        scaled = _gauge(op.target, g)[coo.row] * coo.data / _gauge(op.source, g)[coo.col]
+        residual = float(np.max(np.abs(scaled - 1.0)))
+    dense = np.zeros(op.shape, order="F")  # LAPACK's layout: svdvals needs no copy
+    dense[coo.row, coo.col] = scaled.real
     if not residual <= tol_policy.relative(op.shape):
         raise ValueError(
             f"gauge equilibration of lowering block {op.shape} left residual "
@@ -224,37 +219,90 @@ def nullity_numeric(
 
 
 def rank_numeric(
-    op: SectorOperator,
-    tol_policy: TolerancePolicy = DEFAULT_TOLERANCE,
-    report: dict | None = None,
+    op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERANCE, report: dict | None = None
 ) -> int:
     """Numerical rank under the same cutoff and ``report`` as :func:`nullity_numeric`."""
     return op.shape[1] - nullity_numeric(op, tol_policy, report)
 
 
-def null_basis(
-    op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERANCE
-) -> DarkSubspace:
-    """Orthonormal null-space basis from the right-singular vectors.
+@functools.lru_cache(maxsize=8)
+def _rumer_kernel(n_qubits: int, n_excited: int) -> tuple[np.ndarray, np.ndarray]:
+    """ker W in Rumer's non-crossing pairing basis, as (patterns, signs).
 
-    The vectors are rows of V^H past the numerical rank, already orthonormal;
-    no re-orthogonalization step is applied.
+    A path steps down at each excited qubit and up at each ground one.  Each
+    ballot sequence (no prefix below zero: C(N, s) - C(N, s-1) of them for
+    2s <= N) closes every down step with the nearest open up step; its
+    vector is the product of the pair singlets over these arcs.  W kills
+    every singlet, hence the product.  Entry [j, c] is the pattern (bit p =
+    step p) and sign +-1 of vector j for choice c of the excited arc ends;
+    c = 0 excites every closing end, giving the ballot pattern itself.
     """
-    rank, sigma_max, vh = _svd_or_diagnose(op, tol_policy)
-    vecs = vh[rank:].conj()
-    states = [PureState(op.source, v.copy()) for v in vecs]
-    rel = tol_policy.relative(op.shape) if tol_policy.absolute is None else (
-        tol_policy.absolute / sigma_max if sigma_max > 0 else tol_policy.absolute
-    )
-    return DarkSubspace(
-        sector=op.source, basis=states, nullity=len(states), tolerance_used=rel
-    )
+    states = np.array(enumerate_sector(n_qubits, n_excited, n_qubits).states, dtype=np.uint64)
+    down = ((states[:, None] >> np.arange(n_qubits, dtype=np.uint64)) & 1).astype(np.int64)
+    height = np.cumsum(1 - 2 * down, axis=1)
+    ballot = np.all(height >= 0, axis=1)
+    down, height = down[ballot], height[ballot]
+    level = height - 1 + down  # height at the lower end of each step
+    arc = np.cumsum(down, axis=1) - 1  # the arc each down step closes
+    opened = np.zeros((down.shape[0], n_qubits + 1), dtype=np.int64)
+    ends = np.zeros((2, down.shape[0], n_excited), dtype=np.int64)  # closing, opening
+    for p in range(n_qubits):
+        up, dn = np.flatnonzero(down[:, p] == 0), np.flatnonzero(down[:, p])
+        opened[up, level[up, p]] = p
+        ends[0, dn, arc[dn, p]] = p
+        ends[1, dn, arc[dn, p]] = opened[dn, level[dn, p]]
+    choice = (np.arange(1 << n_excited)[:, None] >> np.arange(n_excited)) & 1
+    patterns = sum(np.uint64(1) << ends[choice[:, k], :, k].T.astype(np.uint64)
+                   for k in range(n_excited))
+    signs = 1.0 - 2.0 * (choice.sum(axis=1) % 2)
+    patterns.flags.writeable = signs.flags.writeable = False  # cached: every caller shares them
+    return patterns, signs
+
+
+def null_basis(op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERANCE) -> DarkSubspace:
+    """Orthonormal null-space basis from the gauge: ker L_g = D_s^{-1} ker W.
+
+    The Rumer vectors of ker W, on a path that visits the qubits by
+    decreasing |g|, are scaled by |D_s|^{-1} and normalized.  Every arc then
+    closes on its weaker coupling, so each vector peaks at its own ballot
+    pattern, where every earlier vector vanishes: |R_jj| >= 2^{-s/2} in
+    exact arithmetic, at any disorder.  One real Householder QR makes them
+    orthonormal; the dark vectors are the columns of Q times the phases
+    conj(D_s / |D_s|).  The nullity is the dimension minus
+    :func:`rank_exact_modp`.  Raises ValueError unless the Rumer count
+    equals it, the smallest |R_jj| clears ``tol_policy.cutoff(1, shape)``
+    and every vector meets the :func:`verify_dark` tolerance.
+    """
+    g, _ = _read_couplings(op)
+    n, s = op.source.n_qubits, op.source.n_excited
+    how: dict = {}
+    nullity = op.shape[1] - rank_exact_modp(n, s, seed=0, max_qubits=n, report=how)
+    patterns, signs = _rumer_kernel(n, s)
+    if patterns.shape[0] != nullity:
+        raise ValueError(f"{patterns.shape[0]} Rumer vectors for the exact nullity {nullity}")
+    path = np.argsort(-np.abs(g), kind="stable").astype(np.uint64)  # qubit at each step
+    rows = np.searchsorted(np.array(op.source.states, dtype=np.uint64),
+                           sum(((patterns >> p) & 1) << path[p] for p in range(n)))
+    d_s = _gauge(op.source, g)
+    k = np.zeros((nullity, op.shape[1]))
+    with np.errstate(all="ignore"):  # a product out of range fails the checks below
+        k[np.arange(nullity)[:, None], rows] = signs / np.abs(d_s)[rows]
+        k /= np.sqrt(np.einsum("ij,ij->i", k, k))[:, None]
+    q, r = scipy.linalg.qr(k.T, mode="economic", overwrite_a=True, check_finite=False)
+    margin = float(np.abs(np.diag(r)).min() / tol_policy.cutoff(1.0, op.shape)) if nullity else None
+    if nullity and not margin > 1.0:
+        raise ValueError(f"the ({n}, {s}) basis QR lost rank: min |R_jj| / cutoff = {margin:.3e}")
+    phases = np.conj(d_s / np.abs(d_s))
+    residual = max(  # ||L v|| of the unit vectors v = phases * q_j, 64 per product
+        (np.linalg.norm(op.apply(phases[:, None] * q[:, j:j + 64]), axis=0).max()
+         for j in range(0, nullity, 64)), default=0.0)
+    if not residual <= (tol := _dark_tolerance(op, tol_policy)):
+        raise ValueError(f"a dark vector of the ({n}, {s}) block leaves {residual:.3e} > {tol:.3e}")
+    return DarkSubspace(op.source, q.T, phases, how["route"], margin)
 
 
 def dark_subspace(
-    n_qubits: int,
-    n_excited: int,
-    profile: CouplingProfile,
+    n_qubits: int, n_excited: int, profile: CouplingProfile,
     tol_policy: TolerancePolicy = DEFAULT_TOLERANCE,
 ) -> DarkSubspace:
     """Dark subspace of the (N, s) sector for a given coupling profile.
@@ -263,17 +311,14 @@ def dark_subspace(
     the subspace is defined as that single state.
     """
     if n_excited == 0:
-        sector = enumerate_sector(n_qubits, 0)
-        state = PureState(sector, np.ones(1, dtype=np.complex128))
-        return DarkSubspace(sector=sector, basis=[state], nullity=1, tolerance_used=0.0)
-    op = build_lowering_block(n_qubits, n_excited, profile)
-    return null_basis(op, tol_policy)
+        return DarkSubspace(enumerate_sector(n_qubits, 0), np.ones((1, 1)),
+                            np.ones(1, dtype=np.complex128), "convention", None)
+    return null_basis(build_lowering_block(n_qubits, n_excited, profile), tol_policy)
 
 
 def projector(sub: DarkSubspace) -> Projector:
-    """The dark projector of ``sub`` as its stacked basis; no rows if the sector is bright."""
-    vectors = np.array([state.amplitudes for state in sub.basis], dtype=np.complex128)
-    return Projector(sector=sub.sector, vectors=vectors.reshape(sub.nullity, sub.sector.size))
+    """The dark projector of ``sub``, wrapping its basis; no rows if the sector is bright."""
+    return Projector(sector=sub.sector, real_basis=sub.real_basis, phases=sub.phases)
 
 
 @dataclass(frozen=True)
@@ -285,10 +330,13 @@ class DarkCheck:
     residual_tolerance: float
 
 
+def _dark_tolerance(op: SectorOperator, tol_policy: TolerancePolicy) -> float:
+    scale = float(scipy.linalg.norm(op.matrix.data)) if op.matrix.nnz else 0.0
+    return tol_policy.cutoff(scale, op.shape)
+
+
 def verify_dark(
-    state: PureState,
-    op: SectorOperator,
-    tol_policy: TolerancePolicy = DEFAULT_TOLERANCE,
+    state: PureState, op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> DarkCheck:
     """Certify that a zero-photon sector state is dark.
 
@@ -302,8 +350,7 @@ def verify_dark(
     if state.basis.states != op.source.states:
         raise ValueError("state does not live in the operator's source sector")
 
-    scale = float(scipy.linalg.norm(op.matrix.data)) if op.matrix.nnz else 0.0
-    tol = tol_policy.cutoff(scale, op.shape)
+    tol = _dark_tolerance(op, tol_policy)
     residual = float(np.linalg.norm(op.apply(state.amplitudes))) / max(state.norm, 1e-300)
     return DarkCheck(passed=residual <= tol, residual_norm=residual, residual_tolerance=tol)
 
@@ -322,11 +369,6 @@ class EliminationBudgetExceeded(RuntimeError):
     """Raised when the exact rank (certificate, then elimination) exceeds its budget."""
 
 
-def _modp_couplings(n_qubits: int, seed: int, prime: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return rng.integers(1, prime, size=n_qubits, dtype=np.uint64)
-
-
 def _inclusion_maps(
     n_qubits: int, n_excited: int
 ) -> tuple[int, int, list[tuple[np.ndarray, np.ndarray]]]:
@@ -336,35 +378,15 @@ def _inclusion_maps(
     s-sector, and maps[i] = (rows, cols) lists the entries that lower qubit i.
     Within one map both index arrays are duplicate-free.
     """
-    src = np.array(enumerate_sector(n_qubits, n_excited).states, dtype=np.int64)
-    tgt = np.array(enumerate_sector(n_qubits, n_excited - 1).states, dtype=np.int64)
+    src = np.array(enumerate_sector(n_qubits, n_excited, n_qubits).states, dtype=np.uint64)
+    tgt = np.array(enumerate_sector(n_qubits, n_excited - 1, n_qubits).states, dtype=np.uint64)
     col_ids = np.arange(src.size, dtype=np.int64)
     maps = []
     for i in range(n_qubits):
-        bit = 1 << i
+        bit = np.uint64(1 << i)
         has = (src & bit) != 0
         maps.append((np.searchsorted(tgt, src[has] ^ bit), col_ids[has]))
     return tgt.size, src.size, maps
-
-
-def _modp_triplets(
-    n_qubits: int, n_excited: int, seed: int, prime: int
-) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
-    """Lowering-block entries with seeded integer couplings, vectorized.
-
-    Returns (n_rows, n_cols, rows, cols, vals); rows index the (s-1)-sector.
-    """
-    g = _modp_couplings(n_qubits, seed, prime)
-    n_rows, n_cols, maps = _inclusion_maps(n_qubits, n_excited)
-    return (
-        n_rows,
-        n_cols,
-        np.concatenate([rows for rows, _ in maps]),
-        np.concatenate([cols for _, cols in maps]),
-        np.concatenate(
-            [np.full(rows.size, g[i], dtype=np.uint64) for i, (rows, _) in enumerate(maps)]
-        ),
-    )
 
 
 def _gram_apply(
@@ -565,11 +587,8 @@ def rank_exact_modp(
         raise ValueError(f"n_qubits={n_qubits} exceeds the cap of {max_qubits}")
     if n_excited < 1 or n_excited > n_qubits:
         raise ValueError("n_excited must lie in [1, n_qubits] for a lowering block")
-    if prime != MERSENNE_61 and prime != CROSSCHECK_PRIME:
-        # Any odd prime below 2^61 works in both stages; these two are the
-        # documented defaults.
-        if prime.bit_length() > 61 or prime < 3:
-            raise ValueError("prime must be an odd prime with at most 61 bits")
+    if prime.bit_length() > 61 or prime < 3:
+        raise ValueError("prime must be an odd prime with at most 61 bits")
 
     deadline = None if time_budget_s is None else time.monotonic() + time_budget_s
     degree = _gram_certificate(n_qubits, n_excited, prime, deadline)
@@ -578,7 +597,11 @@ def rank_exact_modp(
                       degree=degree)
     if degree is not None:
         return min(comb(n_qubits, n_excited), comb(n_qubits, n_excited - 1))
-    n_rows, n_cols, rows, cols, vals = _modp_triplets(n_qubits, n_excited, seed, prime)
+    g = np.random.Generator(np.random.Philox(key=seed)).integers(
+        1, prime, size=n_qubits, dtype=np.uint64)
+    n_rows, n_cols, maps = _inclusion_maps(n_qubits, n_excited)
+    rows, cols = (np.concatenate(idx) for idx in zip(*maps))
+    vals = np.concatenate([np.full(r.size, g[i], dtype=np.uint64) for i, (r, _) in enumerate(maps)])
     if n_cols < n_rows:
         rows, cols = cols, rows
         n_rows, n_cols = n_cols, n_rows

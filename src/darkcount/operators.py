@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .couplings import CouplingProfile
-from .sector import SectorBasis, enumerate_sector, state_index
+from .sector import SectorBasis, enumerate_sector
 
 S_SQUARED_MAX_QUBITS = 10
 OPERATOR_SECTOR_CAP = 3_000_000
@@ -128,24 +128,13 @@ def build_lowering_block(
         )
     source = _sector_for_operator(n_qubits, n_excited)
     target = _sector_for_operator(n_qubits, n_excited - 1)
-    g = profile.as_array()
-
-    rows = np.empty(source.size * n_excited, dtype=np.int64)
-    cols = np.empty_like(rows)
-    vals = np.empty(rows.shape, dtype=np.complex128)
-    k = 0
-    for j, m in enumerate(source.states):
-        mm = m
-        while mm:
-            b = mm & -mm
-            i = b.bit_length() - 1
-            rows[k] = state_index(target, m ^ b)
-            cols[k] = j
-            vals[k] = g[i]
-            k += 1
-            mm ^= b
+    src = np.array(source.states, dtype=np.uint64)  # 64 qubits fill every bit
+    cols, qubit = np.nonzero((src[:, None] >> np.arange(n_qubits, dtype=np.uint64)) & 1)
+    lowered = src[cols] ^ (np.uint64(1) << qubit.astype(np.uint64))
+    rows = np.searchsorted(np.array(target.states, dtype=np.uint64), lowered)
     matrix = sp.csc_matrix(
-        (vals, (rows, cols)), shape=(target.size, source.size), dtype=np.complex128
+        (profile.as_array()[qubit], (rows, cols)), shape=(target.size, source.size),
+        dtype=np.complex128,
     )
     return SectorOperator(source=source, target=target, matrix=matrix)
 
@@ -240,17 +229,10 @@ class HamiltonianModel:
 def _collective_lowering_full(n_qubits: int, g: np.ndarray) -> sp.csr_matrix:
     """sum_j g_j S_j^- over the full 2^N qubit space."""
     dim = 1 << n_qubits
-    rows, cols, vals = [], [], []
-    for m in range(dim):
-        mm = m
-        while mm:
-            b = mm & -mm
-            i = b.bit_length() - 1
-            rows.append(m ^ b)
-            cols.append(m)
-            vals.append(g[i])
-            mm ^= b
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=np.complex128)
+    cols, qubit = np.nonzero((np.arange(dim)[:, None] >> np.arange(n_qubits)) & 1)
+    return sp.csr_matrix(
+        (g[qubit], (cols ^ (1 << qubit), cols)), shape=(dim, dim), dtype=np.complex128
+    )
 
 
 def build_hamiltonian(model: HamiltonianModel) -> sp.csr_matrix:
@@ -292,13 +274,3 @@ def excitation_number(model: HamiltonianModel) -> sp.csr_matrix:
             diag[model.index(m, k)] = m.bit_count() + k
     return sp.diags(diag).tocsr()
 
-
-def export_coo_text(op: SectorOperator) -> str:
-    """Coordinate-format dump (row, col, re, im) for debugging, one entry per line."""
-    coo = op.matrix.tocoo()
-    lines = [f"# shape {coo.shape[0]} {coo.shape[1]}"]
-    order = np.lexsort((coo.row, coo.col))
-    for k in order:
-        v = coo.data[k]
-        lines.append(f"{coo.row[k]} {coo.col[k]} {v.real:.17g} {v.imag:.17g}")
-    return "\n".join(lines) + "\n"

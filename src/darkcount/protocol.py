@@ -4,9 +4,12 @@ For an initial product arrangement the probability of never seeing a click
 is the diagonal entry of the dark projector at that arrangement, the squared
 norm of that coordinate over the orthonormal dark basis.  Summing over all
 arrangements of s excitations traces the projector, so the total is the
-dark-state count itself, whatever the couplings.  No dim x dim projector is
-formed: the largest dense object is the full V^H of the lowering block's
-SVD.  A Bernoulli sampler emulates the finite-statistics experiment.
+dark-state count itself, whatever the couplings.  The gauge
+L_g = D_{s-1}^{-1} W D_s makes the dark space D_s^{-1} ker W, so the
+probabilities are the squared row norms of one real QR of the scaled Rumer
+basis of ker W; the coupling phases drop out.  No dim x dim projector is
+formed: the largest dense object is that real dim x nullity Q.  A Bernoulli
+sampler emulates the finite-statistics experiment.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .darkspace import DEFAULT_TOLERANCE, Projector, TolerancePolicy, dark_subsp
 from .operators import PureState
 from .sector import enumerate_sector, state_index
 
-SECTOR_SIZE_CAP = 5000  # the SVD returns a dense V^H: size^2 complex entries
+BASIS_BYTES_CAP = 256 << 20  # the real dim x nullity Q in float64: 147 MB at (16, 8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,6 +37,8 @@ class ProtocolResult:
     d_of_s: float
     n_dark_expected: int
     profile_label: str
+    nullity_route: str  # how the dark count behind the basis was obtained
+    qr_margin: float | None  # smallest |R_jj| of the basis QR over its cutoff
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,7 @@ def null_emission_probability(init: int | PureState, proj: Projector) -> float:
     if isinstance(init, PureState):
         if init.basis.states != proj.sector.states:
             raise ValueError("state and projector belong to different sectors")
-        overlaps = proj.vectors.conj() @ init.normalized().amplitudes
+        overlaps = proj.real_basis @ (proj.phases.conj() * init.normalized().amplitudes)
         return float(np.vdot(overlaps, overlaps).real)
     k = state_index(proj.sector, init)  # validates popcount and bit range
     return float(proj.diagonal()[k])
@@ -78,14 +83,14 @@ def measure_d(
     the number of independent dark states there.
     """
     basis = enumerate_sector(n_qubits, n_excited)
-    if basis.size > SECTOR_SIZE_CAP:
-        raise ValueError(
-            f"sector size {basis.size} exceeds the protocol cap {SECTOR_SIZE_CAP}"
-        )
+    nbytes = 8 * basis.size * ndark_formula(n_qubits, n_excited)
+    if nbytes > BASIS_BYTES_CAP:
+        raise ValueError(f"the ({n_qubits}, {n_excited}) dark basis takes {nbytes >> 20} MiB, "
+                         f"over the protocol cap of {BASIS_BYTES_CAP >> 20} MiB")
     if profile.n_qubits != n_qubits:
         raise ValueError(f"profile has {profile.n_qubits} couplings for {n_qubits} qubits")
-    proj = projector(dark_subspace(n_qubits, n_excited, profile, tol_policy))
-    diag = proj.diagonal()
+    sub = dark_subspace(n_qubits, n_excited, profile, tol_policy)
+    diag = projector(sub).diagonal()
     per = [(pattern, float(diag[k])) for k, pattern in enumerate(basis.states)]
     return ProtocolResult(
         n_qubits=n_qubits,
@@ -94,6 +99,8 @@ def measure_d(
         d_of_s=float(diag.sum()),
         n_dark_expected=ndark_formula(n_qubits, n_excited),
         profile_label=profile.label,
+        nullity_route=sub.nullity_route,
+        qr_margin=sub.qr_margin,
     )
 
 

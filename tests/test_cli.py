@@ -106,6 +106,9 @@ def test_darkbasis_self_checks(capsys):
     assert data["checks"]["trace_matches_nullity"]
     assert len(data["basis"]) == 2
     assert len(data["projector_diagonal"]) == 6
+    assert data["nullity_route"] == "gram-certificate"
+    assert data["qr_margin"] > 1
+    assert "tolerance_used" not in data
 
 
 def test_protocol_identity(capsys):
@@ -115,6 +118,43 @@ def test_protocol_identity(capsys):
     assert data["n_dark_expected"] == 2
     assert abs(data["d_of_s"] - 2.0) <= 1e-8
     assert len(data["per_arrangement"]) == 6
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4])
+def test_protocol_14_7_counts_429(capsys, seed):
+    # the complex SVD of the raw block once counted a 430th dark state here
+    data = run_json(capsys, "protocol", "--n", "14", "--s", "7", "--seed", str(seed))["data"]
+    assert abs(data["d_of_s"] - 429) <= 1e-8
+    assert data["nullity_route"] == "gram-certificate"
+    assert data["qr_margin"] > 1
+
+
+def test_protocol_survives_extreme_disorder(capsys):
+    # the complex SVD of the raw block gave D = 55 here
+    data = run_json(capsys, "protocol", "--n", "10", "--s", "5", "--g-min", "1e-6")["data"]
+    assert abs(data["d_of_s"] - 42) <= 1e-8
+    assert data["qr_margin"] > 1e6
+
+
+def test_protocol_16_8_runs(capsys):
+    data = run_json(capsys, "protocol", "--n", "16", "--s", "8")["data"]
+    assert abs(data["d_of_s"] - 1430) <= 1e-8
+    assert len(data["per_arrangement"]) == 12870
+
+
+def test_dark_basis_paths_take_no_svd(capsys, monkeypatch):
+    import darkcount.darkspace as darkspace
+    from darkcount.couplings import DEFAULT_DISORDER, sample_profile
+    from darkcount.protocol import measure_d, monte_carlo_protocol
+
+    def svd(*args, **kwargs):
+        pytest.fail("the dark basis took an SVD")
+
+    monkeypatch.setattr(darkspace.scipy.linalg, "svd", svd)
+    profile = sample_profile(6, DEFAULT_DISORDER, seed=1)
+    assert measure_d(6, 3, profile).d_of_s == pytest.approx(5.0, abs=1e-9)
+    monte_carlo_protocol(6, 3, profile, trials=100, seed=0)
+    assert run_json(capsys, "darkbasis", "--n", "6", "--s", "3")["data"]["nullity"] == 5
 
 
 def test_protocol_csv(capsys):
@@ -179,6 +219,7 @@ def canonical_rerun(capsys, command):
 
 def test_reruns_are_byte_identical_outside_meta(capsys):
     assert canonical_rerun(capsys, "protocol") == canonical_rerun(capsys, "protocol")
+    assert canonical_rerun(capsys, "darkbasis") == canonical_rerun(capsys, "darkbasis")
 
 
 def test_count_margins_rerun_byte_identical(capsys):

@@ -8,6 +8,7 @@ import scipy.linalg
 from darkcount.couplings import (
     DEFAULT_DISORDER,
     CouplingProfile,
+    DisorderSpec,
     sample_profile,
     uniform_profile,
 )
@@ -18,6 +19,7 @@ from darkcount.darkspace import (
     EliminationBudgetExceeded,
     Projector,
     TolerancePolicy,
+    _rumer_kernel,
     dark_subspace,
     null_basis,
     nullity_numeric,
@@ -28,10 +30,12 @@ from darkcount.darkspace import (
 )
 from darkcount.counting import ndark_formula
 from darkcount.operators import (
+    PureState,
     SectorOperator,
     build_lowering_block,
     single_excitation_dark_states,
 )
+from darkcount.sector import enumerate_sector
 
 
 def brute_force_nullity(op):
@@ -133,6 +137,8 @@ def test_nullity_raises_when_gauge_products_underflow():
     profile = CouplingProfile((1.0, 1e-200, 1e-200, 1.0))
     with pytest.raises(ValueError, match="residual"):
         nullity_numeric(build_lowering_block(4, 2, profile))
+    with pytest.raises(ValueError, match="lost rank"):
+        dark_subspace(4, 2, profile)
 
 
 # -- null basis & projector ---------------------------------------------------
@@ -142,13 +148,15 @@ def test_null_basis_uniform_two_qubits_is_singlet():
     sub = null_basis(build_lowering_block(2, 1, uniform_profile(2, 1.0)))
     assert sub.nullity == 1
     singlet = np.array([-1.0, 1.0]) / np.sqrt(2.0)
-    assert abs(np.vdot(singlet, sub.basis[0].amplitudes)) == pytest.approx(1.0)
+    dark = PureState(sub.sector, sub.basis[0])
+    assert abs(np.vdot(singlet, dark.amplitudes)) == pytest.approx(1.0)
 
 
 def test_null_basis_lopsided_two_qubits():
     sub = null_basis(build_lowering_block(2, 1, CouplingProfile((1 + 0j, 2 + 0j))))
     expected = np.array([-2.0, 1.0]) / np.sqrt(5.0)
-    assert abs(np.vdot(expected, sub.basis[0].amplitudes)) == pytest.approx(1.0)
+    dark = PureState(sub.sector, sub.basis[0])
+    assert abs(np.vdot(expected, dark.amplitudes)) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -157,18 +165,20 @@ def test_null_basis_orthonormal_and_annihilated(seed):
     op = build_lowering_block(4, 2, profile)
     sub = null_basis(op)
     assert sub.nullity == 2
-    vecs = np.array([s.amplitudes for s in sub.basis])
+    vecs = np.array([PureState(sub.sector, v).amplitudes for v in sub.basis])
     gram = vecs @ vecs.conj().T
     assert np.allclose(gram, np.eye(2), atol=1e-12)
     scale = np.linalg.svd(op.to_dense(), compute_uv=False)[0]
-    for state in sub.basis:
-        assert np.linalg.norm(op.apply(state.amplitudes)) <= sub.tolerance_used * scale
+    for state in (PureState(sub.sector, v) for v in sub.basis):
+        assert np.linalg.norm(op.apply(state.amplitudes)) <= (
+            DEFAULT_TOLERANCE.relative(op.shape) * scale
+        )
 
 
 def test_null_basis_spans_analytic_states():
     profile = sample_profile(5, DEFAULT_DISORDER, seed=8)
     sub = null_basis(build_lowering_block(5, 1, profile))
-    vecs = np.array([s.amplitudes for s in sub.basis])
+    vecs = np.array([PureState(sub.sector, v).amplitudes for v in sub.basis])
     proj = vecs.T @ vecs.conj()
     for d in single_excitation_dark_states(profile):
         assert np.linalg.norm(proj @ d.amplitudes - d.amplitudes) < 1e-10
@@ -201,7 +211,7 @@ def test_projector_algebra(n, s, seed):
 def _outer_product_sum(sub):
     """Reference projector: the explicit sum of |d_j><d_j| over the dark basis."""
     p = np.zeros((sub.sector.size, sub.sector.size), dtype=np.complex128)
-    for state in sub.basis:
+    for state in (PureState(sub.sector, v) for v in sub.basis):
         p += np.outer(state.amplitudes, state.amplitudes.conj())
     return p
 
@@ -238,11 +248,74 @@ def test_protocol_paths_never_form_the_dense_projector(monkeypatch, capsys):
     assert "projector_expectation" in capsys.readouterr().out
 
 
+def _mp_dark_diagonal(op):
+    """Independent oracle: diag P = 1 - diag(L^H (L L^H)^{-1} L) at 60 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        lower = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in op.to_dense()])
+        solved = mpmath.inverse(lower * lower.H) * lower
+        return np.array([
+            float(1 - mpmath.re(sum(mpmath.conj(lower[t, x]) * solved[t, x]
+                                    for t in range(lower.rows))))
+            for x in range(lower.cols)
+        ])
+
+
+@pytest.mark.parametrize("n,s", [(6, 3), (8, 4)])
+def test_projector_diagonal_matches_mpmath_oracle(n, s):
+    # six decades of disorder with random phases: D_s spans 1e-6^s
+    profile = sample_profile(n, DisorderSpec(1e-6, 1.0, True, "log-uniform"), seed=0)
+    sub = dark_subspace(n, s, profile)
+    assert sub.nullity == ndark_formula(n, s)
+    want = _mp_dark_diagonal(build_lowering_block(n, s, profile))
+    assert np.abs(projector(sub).diagonal() - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_rumer_kernel_is_a_basis_of_ker_w(n):
+    for s in range(1, n + 1):
+        patterns, signs = _rumer_kernel(n, s)
+        assert patterns.shape == (ndark_formula(n, s), 2**s)
+        states = np.array(enumerate_sector(n, s).states, dtype=np.uint64)
+        k = np.zeros((patterns.shape[0], states.size), dtype=np.int64)
+        np.add.at(k, (np.arange(patterns.shape[0])[:, None], np.searchsorted(states, patterns)),
+                  signs.astype(np.int64))
+        assert set(np.unique(np.abs(k))) <= {0, 1}  # 2^s distinct patterns per vector
+        w = build_lowering_block(n, s, uniform_profile(n, 1.0)).to_dense().real
+        assert not np.any(w.astype(np.int64) @ k.T)  # exactly, in integers
+        assert np.linalg.matrix_rank(k) == patterns.shape[0]
+
+
+def test_null_basis_reports_how_it_was_obtained():
+    sub = dark_subspace(10, 5, sample_profile(10, DisorderSpec(1e-8, 1.0, True, "log-uniform"), 1))
+    assert sub.nullity == 42
+    assert sub.nullity_route == "gram-certificate"
+    assert sub.qr_margin > 1e6  # the gauge-ordered Rumer basis stays well conditioned
+    zero = dark_subspace(5, 0, sample_profile(5, DEFAULT_DISORDER, seed=4))
+    assert (zero.nullity_route, zero.qr_margin) == ("convention", None)
+
+
+def test_null_basis_rejects_a_perturbed_entry():
+    op = build_lowering_block(5, 2, sample_profile(5, DEFAULT_DISORDER, seed=3))
+    matrix = op.matrix.copy()
+    matrix.data[7] *= 1.0 + 1e-9
+    bad = SectorOperator(source=op.source, target=op.target, matrix=matrix)
+    with pytest.raises(ValueError, match="gauge form"):
+        null_basis(bad)
+
+
+def test_null_basis_raises_when_a_vector_is_not_dark():
+    # a cutoff of 1e-300 leaves no room for the rounding of the batched residual
+    op = build_lowering_block(6, 3, sample_profile(6, DEFAULT_DISORDER, seed=2))
+    with pytest.raises(ValueError, match="dark vector"):
+        null_basis(op, TolerancePolicy(absolute=1e-300))
+
+
 def test_dark_subspace_zero_excitation_convention():
     profile = sample_profile(5, DEFAULT_DISORDER, seed=4)
     sub = dark_subspace(5, 0, profile)
     assert sub.nullity == 1
-    assert sub.basis[0].amplitudes[0] == 1.0
+    assert PureState(sub.sector, sub.basis[0]).amplitudes[0] == 1.0
 
 
 # -- verify_dark --------------------------------------------------------------

@@ -14,7 +14,6 @@ from darkcount.operators import (
     build_hamiltonian,
     build_lowering_block,
     excitation_number,
-    export_coo_text,
     single_excitation_dark_states,
     total_s_squared,
     total_sz,
@@ -209,6 +208,20 @@ def test_hamiltonian_hermitian(seed):
     assert sp.linalg.norm(h - h.conj().T) <= 1e-14 * max(1.0, sp.linalg.norm(h))
 
 
+@pytest.mark.parametrize("n,seed", [(1, 0), (4, 5), (6, 6)])
+def test_full_space_lowering_matches_brute_force(n, seed):
+    from darkcount.operators import _collective_lowering_full
+
+    profile = sample_profile(n, DEFAULT_DISORDER, seed=seed)
+    full = _collective_lowering_full(n, profile.as_array()).toarray()
+    want = np.zeros_like(full)
+    for s in range(1, n + 1):
+        src = np.array(enumerate_sector(n, s).states)
+        tgt = np.array(enumerate_sector(n, s - 1).states)
+        want[np.ix_(tgt, src)] = brute_force_lowering(n, s, profile)
+    assert np.array_equal(full, want)
+
+
 def test_hamiltonian_conserves_excitation_number():
     profile = sample_profile(3, DEFAULT_DISORDER, seed=9)
     model = HamiltonianModel(3, profile, omega=1.3, n_photon_max=3)
@@ -226,14 +239,3 @@ def test_pure_state_validation():
     assert state.norm == pytest.approx(5.0)
     assert state.normalized().norm == pytest.approx(1.0)
 
-
-def test_coo_export_round_trip():
-    profile = CouplingProfile((1.0 + 0j, 2.0 - 1.0j))
-    op = build_lowering_block(2, 1, profile)
-    text = export_coo_text(op)
-    lines = [l for l in text.strip().splitlines() if not l.startswith("#")]
-    rebuilt = np.zeros(op.shape, dtype=complex)
-    for line in lines:
-        r, c, re, im = line.split()
-        rebuilt[int(r), int(c)] = float(re) + 1j * float(im)
-    assert np.allclose(rebuilt, op.to_dense())

@@ -23,7 +23,8 @@ def test_dark_superposition_never_emits():
     profile = sample_profile(4, DEFAULT_DISORDER, seed=6)
     sub = dark_subspace(4, 2, profile)
     proj = projector(sub)
-    for d in sub.basis:
+    for v in sub.basis:
+        d = PureState(sub.sector, v)
         assert null_emission_probability(d, proj) == pytest.approx(1.0, abs=1e-12)
 
 

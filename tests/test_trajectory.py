@@ -4,7 +4,7 @@ from scipy.integrate import solve_ivp
 
 from darkcount.couplings import DisorderSpec, sample_profile, uniform_profile
 from darkcount.darkspace import dark_subspace, projector
-from darkcount.operators import HamiltonianModel, build_hamiltonian
+from darkcount.operators import HamiltonianModel, PureState, build_hamiltonian
 from darkcount.protocol import null_emission_probability
 from darkcount.trajectory import (
     TrajectoryConfig,
@@ -94,7 +94,8 @@ def test_dark_superposition_initial_state_never_decays():
     profile = sample_profile(3, MILD, seed=2)
     sub = dark_subspace(3, 1, profile)
     model = HamiltonianModel(3, profile, omega=1.0, n_photon_max=1)
-    cfg = standard_config(model, 100.0, initial=sub.basis[0], n_trajectories=2000, seed=4)
+    dark = PureState(sub.sector, sub.basis[0])
+    cfg = standard_config(model, 100.0, initial=dark, n_trajectories=2000, seed=4)
     stats = run_trajectories(cfg)
     assert stats.p_no_click == 1.0
     assert stats.norm_grid[-1] == pytest.approx(1.0, abs=1e-8)
@@ -172,7 +173,8 @@ def test_dark_superposition_immune_at_every_kappa():
     profile = sample_profile(3, MILD, seed=21)
     sub = dark_subspace(3, 1, profile)
     model = HamiltonianModel(3, profile, omega=1.0, n_photon_max=1)
-    base = standard_config(model, 100.0, initial=sub.basis[0], n_trajectories=500, seed=5)
+    dark = PureState(sub.sector, sub.basis[0])
+    base = standard_config(model, 100.0, initial=dark, n_trajectories=500, seed=5)
     for _, stats in no_click_vs_kappa(base, [10.0, 100.0, 1000.0]):
         assert stats.p_no_click == 1.0
 
