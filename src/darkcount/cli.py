@@ -46,14 +46,20 @@ from .darkspace import (
     verify_dark,
 )
 from .operators import HamiltonianModel, PureState, build_lowering_block
-from .protocol import measure_d, monte_carlo_protocol, null_emission_probability
+from .protocol import (
+    BASIS_BYTES_CAP,
+    dark_basis_bytes,
+    measure_d,
+    monte_carlo_protocol,
+    null_emission_probability,
+)
 from .trajectory import no_click_vs_kappa, run_trajectories, standard_config
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "DARKCOUNT_OUTPUT_DIR"
 
 ORACLE_CAP = 10  # dense 2^N diagonalization
-NUMERIC_SECTOR_CAP = 4000  # dense SVD columns
+NUMERIC_SECTOR_CAP = comb(16, 8)  # dense Gram of the smaller side, 1.05 GB at (16,8)
 EXACT_SECTOR_CAP = 2000  # exact F_p rank (certificate, elimination fallback), CLI default
 
 DISORDER_PRESETS = {
@@ -65,7 +71,11 @@ DISORDER_PRESETS = {
 
 
 class ConsistencyError(RuntimeError):
-    """A cross-method check failed; the CLI exits nonzero."""
+    """A cross-method check failed; the CLI prints ``record`` and exits 2."""
+
+    def __init__(self, message: str, record: dict):
+        super().__init__(message)
+        self.record = record
 
 
 # --------------------------------------------------------------------------
@@ -78,7 +88,7 @@ def _now_iso() -> str:
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, sort_keys=True) + "\n"  # no indent: keeps json's C encoder
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -218,6 +228,7 @@ def cmd_count(args) -> dict:
             {"s": s, "formula": formula, "sector_size": size, "methods": methods,
              "agree": agree}
         )
+    record = {"n": n, "results": results, "all_agree": all_agree}
     if not all_agree:
         disagreements = [
             f"s={r['s']}: formula {r['formula']}, " + ", ".join(
@@ -225,8 +236,8 @@ def cmd_count(args) -> dict:
             for r in results if not r["agree"]
         ]
         raise ConsistencyError(
-            "counting methods disagree with the closed form: " + "; ".join(disagreements))
-    return {"n": n, "results": results, "all_agree": all_agree}
+            "counting methods disagree with the closed form: " + "; ".join(disagreements), record)
+    return record
 
 
 def cmd_rank(args) -> dict:
@@ -248,7 +259,7 @@ def cmd_rank(args) -> dict:
         )
     if args.method in ("numeric", "both"):
         if size > NUMERIC_SECTOR_CAP:
-            raise ValueError(f"sector size {size} exceeds the dense SVD cap")
+            raise ValueError(f"sector size {size} exceeds the dense Gram cap")
         profile = _profile_from_args(args, n)
         op = build_lowering_block(n, s, profile)
         how = {}
@@ -258,15 +269,19 @@ def cmd_rank(args) -> dict:
              "tolerance": DEFAULT_TOLERANCE.relative(op.shape), "seed": args.seed,
              **_margins(how)}
         )
-    ranks = {r["rank"] for r in records}
-    if len(ranks) > 1:
-        raise ConsistencyError(f"rank methods disagree: {records}")
-    return {"records": records, "expected_generic_rank":
-            comb(n, s - 1) if 2 * s <= n else comb(n, s)}
+    record = {"records": records,
+              "expected_generic_rank": comb(n, s - 1) if 2 * s <= n else comb(n, s)}
+    if len({r["rank"] for r in records}) > 1:
+        raise ConsistencyError(f"rank methods disagree: {records}", record)
+    return record
 
 
 def cmd_darkbasis(args) -> dict:
     n, s = args.n, args.s
+    nbytes = 16 * comb(n, s) ** 2  # each of the complex dim x dim projector and p @ p
+    if nbytes > BASIS_BYTES_CAP:
+        raise ValueError(f"the ({n}, {s}) dense projector takes {nbytes >> 20} MiB, "
+                         f"over BASIS_BYTES_CAP of {BASIS_BYTES_CAP >> 20} MiB")
     profile = _profile_from_args(args, n)
     sub = dark_subspace(n, s, profile)
     proj = projector(sub)
@@ -284,16 +299,17 @@ def cmd_darkbasis(args) -> dict:
         op = build_lowering_block(n, s, profile)
         checks["all_basis_states_verified_dark"] = all(
             verify_dark(PureState(sub.sector, v), op).passed for v in sub.basis)
-    if not (checks["trace_matches_nullity"] and herm <= 1e-12 and idem <= 1e-10
-            and checks.get("all_basis_states_verified_dark", True)):
-        raise ConsistencyError(f"dark basis failed self-checks: {checks}")
-    return {
+    record = {
         "n": n, "s": s, "nullity": sub.nullity, "formula": ndark_formula(n, s),
         "nullity_route": sub.nullity_route, **_margins({"qr_margin": sub.qr_margin}),
         "checks": checks, "profile": _profile_config(profile),
         "basis": [[[a.real, a.imag] for a in v] for v in sub.basis],
         "projector_diagonal": [float(x) for x in proj.diagonal()],
     }
+    if not (checks["trace_matches_nullity"] and herm <= 1e-12 and idem <= 1e-10
+            and checks.get("all_basis_states_verified_dark", True)):
+        raise ConsistencyError(f"dark basis failed self-checks: {checks}", record)
+    return record
 
 
 def cmd_protocol(args) -> dict:
@@ -301,12 +317,7 @@ def cmd_protocol(args) -> dict:
     profile = _profile_from_args(args, n)
     result = measure_d(n, s, profile)
     deviation = abs(result.d_of_s - result.n_dark_expected)
-    if deviation > 1e-8:
-        raise ConsistencyError(
-            f"D(s)={result.d_of_s!r} is off the dark count {result.n_dark_expected} "
-            f"by {deviation:.3e}"
-        )
-    return {
+    record = {
         "n": n, "s": s,
         "arrangement_order": "canonical (patterns ascending as integers)",
         "per_arrangement": [
@@ -319,6 +330,11 @@ def cmd_protocol(args) -> dict:
         "nullity_route": result.nullity_route, **_margins({"qr_margin": result.qr_margin}),
         "profile": _profile_config(profile),
     }
+    if deviation > 1e-8:
+        raise ConsistencyError(
+            f"D(s)={result.d_of_s!r} is off the dark count {result.n_dark_expected} "
+            f"by {deviation:.3e}", record)
+    return record
 
 
 def cmd_montecarlo(args) -> dict:
@@ -328,17 +344,17 @@ def cmd_montecarlo(args) -> dict:
     exact = mc.exact_d
     dev = abs(mc.estimated_d - exact)
     limit = max(5.0 * mc.standard_error, 1e-9)
-    if dev > limit:
-        raise ConsistencyError(
-            f"Monte Carlo estimate {mc.estimated_d:.4f} deviates from exact "
-            f"{exact:.4f} by {dev:.4f} > 5 SE = {limit:.4f}"
-        )
-    return {
+    record = {
         "n": n, "s": s, "trials_per_arrangement": mc.trials_per_arrangement,
         "estimated_d": mc.estimated_d, "standard_error": mc.standard_error,
         "exact_d": exact, "n_dark": ndark_formula(n, s),
         "profile": _profile_config(profile),
     }
+    if dev > limit:
+        raise ConsistencyError(
+            f"Monte Carlo estimate {mc.estimated_d:.4f} deviates from exact "
+            f"{exact:.4f} by {dev:.4f} > 5 SE = {limit:.4f}", record)
+    return record
 
 
 def cmd_sweep(args) -> dict | str:
@@ -401,7 +417,7 @@ def cmd_trajectory(args) -> dict:
     }
 
     expectation = None
-    if comb(n, s) <= NUMERIC_SECTOR_CAP:
+    if dark_basis_bytes(n, s) <= BASIS_BYTES_CAP:
         proj = projector(dark_subspace(n, s, profile))
         expectation = null_emission_probability(initial, proj)
         data["projector_expectation"] = expectation
@@ -447,8 +463,7 @@ def cmd_trajectory(args) -> dict:
                 if dev > limit:
                     raise ConsistencyError(
                         f"p_no_click={stats.p_no_click:.4f} is {dev:.4f} away from the "
-                        f"projector expectation {expectation:.4f} (limit {limit:.4f})"
-                    )
+                        f"projector expectation {expectation:.4f} (limit {limit:.4f})", data)
     return data
 
 
@@ -603,6 +618,7 @@ def main(argv: list[str] | None = None) -> int:
         result = args.func(args)
     except ConsistencyError as exc:
         print(f"consistency check failed: {exc}", file=sys.stderr)
+        _emit(_dump_json(_payload(args.command, config_echo, exc.record)), args.output)
         return 2
     except (ValueError, EliminationBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

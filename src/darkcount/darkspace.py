@@ -7,13 +7,15 @@ never depends on the couplings, while the dark basis, D_s^{-1} ker W made
 orthonormal, does.  Two independent routes give the same integers:
 
 * a floating-point route with an explicit, auditable tolerance policy.  The
-  numeric rank is taken from the singular values of the equilibrated block
-  D_{s-1} L_g D_s^{-1}, which is W to rounding: real, with condition number
-  at most sqrt(s(N-s+1)/(N-2s+2)) (5.3 at (14, 7)) however wide the
-  disorder.  The couplings are read back off the block, so a block that is
-  not in gauge form raises.  The dark basis is Rumer's pairing basis of
-  ker W scaled by |D_s|^{-1}, made orthonormal by one real QR; the coupling
-  phases go back on only where the vectors themselves are read;
+  numeric rank counts the squared singular values of the equilibrated block
+  B = D_{s-1} L_g D_s^{-1}, which is W to rounding, as the eigenvalues of
+  the Gram matrix of B's smaller side.  Those are Wilson's integers
+  (s-i)(N-s+1-i) >= 1 however wide the disorder, so one Cholesky
+  factorization of the shifted Gram matrix certifies full rank (Sylvester's
+  law of inertia).  The couplings are read back off the block, so a block
+  that is not in gauge form raises.  The dark basis is Rumer's pairing
+  basis of ker W scaled by |D_s|^{-1}, made orthonormal by one real QR; the
+  coupling phases go back on only where the vectors themselves are read;
 * an exact route over F_p, where rank L_g = rank W as well.  The rank is
   first certified by showing that the Gram matrix of W is invertible mod p
   (a minimal polynomial found by a Krylov sequence from one basis vector,
@@ -67,7 +69,11 @@ __all__ = [
 class TolerancePolicy:
     """Singular-value cutoff: sigma_max * max(dim) * eps * safety_factor.
 
-    ``absolute`` overrides the scaled formula with a fixed cutoff.
+    ``absolute`` overrides the scaled formula with a fixed cutoff.  The
+    numeric count compares sigma^2 with tau = max(cutoff^2, floor), where
+    floor = relative(G.shape) * ||G||_1 is the backward error of a Cholesky
+    factorization of the Gram matrix G: no threshold on sigma^2 below it can
+    be resolved.  Its margins stay in sigma units over the cutoff.
     """
 
     safety_factor: float = 100.0
@@ -179,41 +185,81 @@ def _gauge(sector: SectorBasis, g: np.ndarray) -> np.ndarray:
     return np.prod(np.where(excited, g, 1.0), axis=1)
 
 
+def _smallest_eigenvalue(factor: np.ndarray) -> float:
+    """lambda_min of A = R^T R from its upper Cholesky factor R, estimated from above.
+
+    Inverse iteration from e_0, which meets every eigenspace of the Gram
+    matrices here (the all-ones vector is their top eigenvector), until the
+    Rayleigh quotient of A^{-1} settles to 1e-12.  Wilson's two smallest
+    eigenvalues are more than a factor 2 apart, so a few dozen solves do.
+    """
+    x, mu = np.zeros(factor.shape[0]), 0.0
+    x[0] = 1.0
+    for _ in range(100):
+        y = scipy.linalg.cho_solve((factor, False), x, check_finite=False)
+        mu_prev, mu = mu, float(x @ y)
+        x = y / np.linalg.norm(y)
+        if abs(mu - mu_prev) <= 1e-12 * mu:
+            break
+    return 1.0 / mu
+
+
 def nullity_numeric(
     op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERANCE, report: dict | None = None
 ) -> int:
     """Count singular values of the gauge-equilibrated block below the policy cutoff.
 
     Nonsingular diagonal scaling keeps the rank, so the nullity of L_g is
-    read off D_{s-1} L_g D_s^{-1} with one real, values-only SVD.  Its
-    entries are 1 up to the rounding of the gauge products (or not at all
-    where a product under- or overflows).  Raises ValueError when the block
-    is not in gauge form or the residual max |entry - 1| exceeds
-    ``tol_policy.relative(shape)``.  An ``absolute`` cutoff applies to the
-    equilibrated singular values.  A ``report`` dict, if given, receives
-    ``gauge_residual``, ``kept_margin`` (smallest kept singular value over
-    the cutoff) and ``dropped_margin`` (largest dropped one over the cutoff,
-    None when none is dropped).
+    read off B = D_{s-1} L_g D_s^{-1}, whose entries are 1 up to the
+    rounding of the gauge products.  Raises ValueError when the block is not
+    in gauge form or the residual max |entry - 1| exceeds
+    ``tol_policy.relative(shape)``.  The sigma^2 are the eigenvalues of the
+    Gram matrix G of B's smaller side (a sparse product, densified once);
+    sigma_max = sqrt(||G||_1) for the biregular W sets the cutoff, and
+    sigma^2 is compared with tau = max(cutoff^2, relative(G.shape) ||G||_1),
+    the second term the factorization's backward error.  A Cholesky
+    factorization of G - tau I that succeeds is the certificate: every
+    sigma^2 exceeds tau (Sylvester), so the rank is min(m, n).  If it breaks
+    down, the eigenvalues of G above tau are counted.  A ``report`` dict, if
+    given, receives ``gauge_residual``, ``kept_margin`` (smallest kept
+    singular value over the cutoff; after a certificate, an estimate from
+    above by inverse iteration on the factor) and ``dropped_margin``
+    (largest dropped one over the cutoff, None when none is dropped).
     """
     g, coo = _read_couplings(op)
     with np.errstate(all="ignore"):  # a product out of range shows in the residual
         scaled = _gauge(op.target, g)[coo.row] * coo.data / _gauge(op.source, g)[coo.col]
         residual = float(np.max(np.abs(scaled - 1.0)))
-    dense = np.zeros(op.shape, order="F")  # LAPACK's layout: svdvals needs no copy
-    dense[coo.row, coo.col] = scaled.real
     if not residual <= tol_policy.relative(op.shape):
         raise ValueError(
             f"gauge equilibration of lowering block {op.shape} left residual "
             f"{residual:.3e} over {tol_policy.relative(op.shape):.3e}"
         )
-    s = scipy.linalg.svdvals(dense, overwrite_a=True, check_finite=False)
-    cutoff = tol_policy.cutoff(float(s[0]), op.shape)
-    rank = int(np.count_nonzero(s > cutoff))
+    b = sp.csr_matrix((scaled.real, (coo.row, coo.col)), shape=op.shape)
+    gram = b @ b.T if op.shape[0] <= op.shape[1] else b.T @ b
+    norm1 = float(abs(gram).sum(axis=0).max())
+    cutoff = tol_policy.cutoff(np.sqrt(norm1), op.shape)
+    tau = max(cutoff**2, tol_policy.relative(gram.shape) * norm1)
+    dim = gram.shape[0]
+    shifted = gram.toarray(order="F")  # LAPACK's layout: dpotrf works in place
+    np.fill_diagonal(shifted, shifted.diagonal() - tau)
+    factor, info = scipy.linalg.lapack.dpotrf(shifted, clean=False, overwrite_a=True)
+    dropped = None
+    if info == 0:
+        rank = dim
+        kept = np.sqrt(_smallest_eigenvalue(factor) + tau)
+    else:
+        del factor, shifted
+        lam = scipy.linalg.eigvalsh(gram.toarray(), overwrite_a=True, check_finite=False)[::-1]
+        sigma = np.sqrt(np.clip(lam, 0.0, None))
+        rank = int(np.count_nonzero(lam > tau))
+        kept = sigma[rank - 1] if rank else None
+        dropped = sigma[rank] if rank < dim else None
     if report is not None:
         report.update(
             gauge_residual=residual,
-            kept_margin=float(s[rank - 1] / cutoff) if rank else None,
-            dropped_margin=float(s[rank] / cutoff) if rank < s.size else None,
+            kept_margin=None if kept is None else float(kept / cutoff),
+            dropped_margin=None if dropped is None else float(dropped / cutoff),
         )
     return op.shape[1] - rank
 

@@ -15,6 +15,7 @@ sampler emulates the finite-statistics experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -25,6 +26,11 @@ from .operators import PureState
 from .sector import enumerate_sector, state_index
 
 BASIS_BYTES_CAP = 256 << 20  # the real dim x nullity Q in float64: 147 MB at (16, 8)
+
+
+def dark_basis_bytes(n_qubits: int, n_excited: int) -> int:
+    """Bytes of the real dim x nullity dark basis Q of the (N, s) sector in float64."""
+    return 8 * comb(n_qubits, n_excited) * ndark_formula(n_qubits, n_excited)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +89,7 @@ def measure_d(
     the number of independent dark states there.
     """
     basis = enumerate_sector(n_qubits, n_excited)
-    nbytes = 8 * basis.size * ndark_formula(n_qubits, n_excited)
+    nbytes = dark_basis_bytes(n_qubits, n_excited)
     if nbytes > BASIS_BYTES_CAP:
         raise ValueError(f"the ({n_qubits}, {n_excited}) dark basis takes {nbytes >> 20} MiB, "
                          f"over the protocol cap of {BASIS_BYTES_CAP >> 20} MiB")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -72,6 +73,29 @@ def test_count_14_7_numeric_agrees(capsys, seed):
     assert result["methods"]["exact_modp"]["value"] == 429
 
 
+def test_count_15_7_runs_the_numeric_method(capsys):
+    # over the former dense-SVD cap of 4000 columns
+    payload = run_json(capsys, "count", "--n", "15", "--s", "7", "--exact-cap", "6500")
+    (result,) = payload["data"]["results"]
+    assert result["methods"]["numeric"]["ran"]
+    assert result["methods"]["numeric"]["value"] == 1430
+    assert result["methods"]["exact_modp"]["value"] == 1430
+
+
+def test_numeric_count_takes_no_svd(capsys, monkeypatch):
+    import darkcount.darkspace as darkspace
+
+    def svd(*args, **kwargs):
+        pytest.fail("the numeric count took an SVD")
+
+    monkeypatch.setattr(darkspace.scipy.linalg, "svd", svd)
+    monkeypatch.setattr(darkspace.scipy.linalg, "svdvals", svd)
+    assert run_json(capsys, "count", "--n", "10", "--s", "5")["data"]["all_agree"]
+    records = run_json(capsys, "rank", "--n", "10", "--s", "5",
+                       "--method", "both")["data"]["records"]
+    assert [r["rank"] for r in records] == [210, 210]
+
+
 def test_rank_both_survives_extreme_disorder(capsys):
     payload = run_json(capsys, "rank", "--n", "10", "--s", "5", "--method", "both",
                        "--g-min", "1e-6")
@@ -97,6 +121,14 @@ def test_rank_record_says_how_the_rank_was_obtained(capsys):
     assert record["route"] == "gram-certificate"
     assert record["degree"] == 5
     assert record["seed"] is None  # the certificate draws no couplings
+
+
+def test_darkbasis_refuses_a_projector_over_the_cap(capsys):
+    start = time.perf_counter()
+    code = main(["darkbasis", "--n", "16", "--s", "8"])
+    assert code == 1
+    assert time.perf_counter() - start < 5.0  # refused before any work
+    assert "BASIS_BYTES_CAP" in capsys.readouterr().err
 
 
 def test_darkbasis_self_checks(capsys):
@@ -241,7 +273,33 @@ def test_consistency_failure_names_every_method(capsys, monkeypatch):
     monkeypatch.setattr(cli, "rank_numeric", lambda op, report: -1)
     code = main(["count", "--n", "4", "--s", "2"])
     assert code == 2
-    assert "s=2: formula 2, numeric 7, oracle 2, exact_modp 2" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "s=2: formula 2, numeric 7, oracle 2, exact_modp 2" in captured.err
+    data = json.loads(captured.out)["data"]
+    assert data["all_agree"] is False
+    (result,) = data["results"]
+    assert not result["agree"]
+    methods = result["methods"]
+    assert {k: m["value"] for k, m in methods.items()} == {
+        "numeric": 7, "oracle": 2, "exact_modp": 2}
+    assert methods["exact_modp"]["route"] == "gram-certificate"
+
+
+def test_rank_failure_prints_every_record(capsys, monkeypatch):
+    import darkcount.cli as cli
+
+    def rank_exact_modp(*args, report, **kwargs):
+        report.update(route="gram-certificate", degree=2)
+        return 3  # one short of the (4, 2) block's full rank
+
+    monkeypatch.setattr(cli, "rank_exact_modp", rank_exact_modp)
+    code = main(["rank", "--n", "4", "--s", "2", "--method", "both"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "rank methods disagree" in captured.err
+    modp, svd = json.loads(captured.out)["data"]["records"]
+    assert (modp["rank"], svd["rank"]) == (3, 4)
+    assert svd["kept_margin"] > 1 and svd["dropped_margin"] is None
 
 
 def test_error_exit_code(capsys):

@@ -141,6 +141,57 @@ def test_nullity_raises_when_gauge_products_underflow():
         dark_subspace(4, 2, profile)
 
 
+def _equilibrated_svdvals(op, couplings):
+    """Oracle: svdvals of D_{s-1} L_g D_s^{-1}, the gauge products taken from the couplings."""
+    def gauge(sector):
+        return np.array([np.prod([g for k, g in enumerate(couplings) if x >> k & 1])
+                         for x in sector.states])
+
+    dense = op.to_dense() * gauge(op.target)[:, None] / gauge(op.source)[None, :]
+    return scipy.linalg.svdvals(dense.real)
+
+
+def _4g(x):
+    return None if x is None else float(f"{x:.4g}")
+
+
+# absolute=2.0 would sit on sigma = 2, an exact Gram eigenvalue, where rounding decides
+@pytest.mark.parametrize("policy", [DEFAULT_TOLERANCE, TolerancePolicy(absolute=1.7)],
+                         ids=["default", "absolute-1.7"])
+def test_rank_numeric_matches_svd_oracle(policy):
+    for n in range(1, 12):
+        for s in range(1, n + 1):
+            profile = sample_profile(n, DEFAULT_DISORDER, seed=n + s)
+            op = build_lowering_block(n, s, profile)
+            sv = _equilibrated_svdvals(op, profile.values)
+            cutoff = policy.cutoff(sv[0], op.shape)
+            rank = int(np.count_nonzero(sv > cutoff))
+            expected = {
+                "kept_margin": _4g(sv[rank - 1] / cutoff) if rank else None,
+                "dropped_margin": _4g(sv[rank] / cutoff) if rank < sv.size else None,
+            }
+            report = {}
+            assert rank_numeric(op, policy, report) == rank, (n, s)
+            assert {k: _4g(report[k]) for k in expected} == expected, (n, s)
+
+
+def test_cholesky_breakdown_counts_from_the_spectrum(monkeypatch):
+    # at (8, 4) the Gram eigenvalues are 20, 12, 6 and 2, the last 28 times
+    calls = []
+    eigvalsh = scipy.linalg.eigvalsh
+    monkeypatch.setattr(scipy.linalg, "eigvalsh",
+                        lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs))
+    op = build_lowering_block(8, 4, sample_profile(8, DEFAULT_DISORDER, seed=0))
+    report = {}
+    assert rank_numeric(op, TolerancePolicy(absolute=1.7), report) == 28
+    assert calls  # sigma^2 = 2 < 1.7^2 breaks the factorization of G - tau I
+    assert report["kept_margin"] == pytest.approx(np.sqrt(6) / 1.7, rel=1e-12)
+    assert report["dropped_margin"] == pytest.approx(np.sqrt(2) / 1.7, rel=1e-12)
+    calls.clear()
+    assert rank_numeric(op, report=report) == 56
+    assert not calls  # the default cutoff is certified by the factorization alone
+
+
 # -- null basis & projector ---------------------------------------------------
 
 
