@@ -35,7 +35,6 @@ from .couplings import (
     uniform_profile,
 )
 from .darkspace import (
-    CROSSCHECK_PRIME,
     DEFAULT_TOLERANCE,
     MERSENNE_61,
     EliminationBudgetExceeded,
@@ -60,7 +59,7 @@ OUTPUT_DIR_ENV = "DARKCOUNT_OUTPUT_DIR"
 
 ORACLE_CAP = 10  # dense 2^N diagonalization
 NUMERIC_SECTOR_CAP = comb(16, 8)  # dense Gram of the smaller side, 1.05 GB at (16,8)
-EXACT_SECTOR_CAP = 2000  # exact F_p rank (certificate, elimination fallback), CLI default
+EXACT_SECTOR_CAP = 2000  # exact F_p rank certificate in `count`, CLI default
 
 DISORDER_PRESETS = {
     "log3": DisorderSpec(1e-3, 1.0, True, "log-uniform"),
@@ -216,7 +215,7 @@ def cmd_count(args) -> dict:
             }
         elif size <= args.exact_cap:
             how: dict = {}
-            rank = rank_exact_modp(n, s, seed=args.seed, report=how)
+            rank = rank_exact_modp(n, s, report=how)
             methods["exact_modp"] = {"ran": True, "rank": rank, "value": size - rank, **how}
         else:
             methods["exact_modp"] = {"ran": False, "why": f"sector size {size} over cap"}
@@ -247,15 +246,11 @@ def cmd_rank(args) -> dict:
     size = comb(n, s)
     records = []
     if args.method in ("modp", "both"):
-        prime = CROSSCHECK_PRIME if args.crosscheck_prime else MERSENNE_61
         how: dict = {}
-        rank = rank_exact_modp(n, s, seed=args.seed, prime=prime,
-                               time_budget_s=args.budget, report=how)
-        # the seed only draws the couplings of the elimination fallback
-        seed = args.seed if how["route"] == "elimination" else None
+        rank = rank_exact_modp(n, s, time_budget_s=args.budget, report=how)
         records.append(
-            {"N": n, "s": s, "method": f"modp({prime})", "rank": rank,
-             "nullity": size - rank, "tolerance": None, "seed": seed, **how}
+            {"N": n, "s": s, "method": f"modp({MERSENNE_61})", "rank": rank,
+             "nullity": size - rank, "tolerance": None, **how}
         )
     if args.method in ("numeric", "both"):
         if size > NUMERIC_SECTOR_CAP:
@@ -512,10 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--method", choices=["modp", "numeric", "both"], default="modp")
     p.add_argument("--budget", type=float, default=None,
-                   help="wall-clock budget in seconds for the exact rank "
-                        "(certificate and elimination fallback together)")
-    p.add_argument("--crosscheck-prime", action="store_true",
-                   help="use the independent second prime 2^61 - 31")
+                   help="wall-clock budget in seconds for the exact rank certificate")
     _add_profile_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_rank, format="json")
@@ -572,43 +564,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_defaults(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    """Apply `key = value` file entries as defaults for the chosen subcommand."""
-    if "--config" not in argv:
+def _splice_config(argv: list[str]) -> list[str]:
+    """Insert the `key = value` lines of a --config file as flags after the subcommand.
+
+    Flags given on the command line come later, so they win, and argparse
+    checks every value and rejects unknown keys.  A switch is set by
+    true/yes/on and left out by false/no/off.
+    """
+    pre = argparse.ArgumentParser(prog="darkcount", add_help=False)
+    pre.add_argument("--config", metavar="PATH")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return argv
-    path = argv[argv.index("--config") + 1]
-    entries: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        pre.error(f"argument --config: {exc}")
+    flags = []
+    for line in lines:
+        key, _, value = line.split("#", 1)[0].partition("=")
+        key, value = key.strip(), value.strip()
+        if not key:
             continue
-        key, _, value = line.partition("=")
-        entries[key.strip().replace("-", "_")] = value.strip()
-    # find the subparser in use and coerce values through its option types
-    command = next((tok for tok in argv if not tok.startswith("-")), None)
-    subparser = parser._subparsers._group_actions[0].choices.get(command)  # noqa: SLF001
-    if subparser is None:
-        return argv
-    defaults = {}
-    for action in subparser._actions:  # noqa: SLF001
-        if action.dest in entries:
-            raw = entries[action.dest]
-            if isinstance(action, argparse._StoreTrueAction):  # noqa: SLF001
-                defaults[action.dest] = raw.lower() in ("1", "true", "yes", "on")
-            elif action.type is not None:
-                defaults[action.dest] = action.type(raw)
-            else:
-                defaults[action.dest] = raw
-            action.required = False  # the config file satisfied it
-    subparser.set_defaults(**defaults)
-    return argv
+        flag = "--" + key.replace("_", "-")
+        if value.lower() in ("true", "yes", "on"):
+            flags.append(flag)
+        elif value.lower() not in ("false", "no", "off"):
+            flags.append(f"{flag}={value}")
+    at = next((i + 1 for i, tok in enumerate(argv) if not tok.startswith("-")), 0)
+    return argv[:at] + flags + argv[at:]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    argv = _load_config_defaults(argv, parser)
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_splice_config(argv))
 
     config_echo = {
         k: v for k, v in sorted(vars(args).items())

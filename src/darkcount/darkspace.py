@@ -17,13 +17,12 @@ orthonormal, does.  Two independent routes give the same integers:
   basis of ker W scaled by |D_s|^{-1}, made orthonormal by one real QR; the
   coupling phases go back on only where the vectors themselves are read;
 * an exact route over F_p, where rank L_g = rank W as well.  The rank is
-  first certified by showing that the Gram matrix of W is invertible mod p
-  (a minimal polynomial found by a Krylov sequence from one basis vector,
+  certified by showing that the Gram matrix of W is invertible mod p (a
+  minimal polynomial found by a Krylov sequence from one basis vector,
   checked on every coordinate, with nonzero constant term).  This takes
-  about a second at (20, 10).  Where the certificate does not hold (a small
-  prime dividing an eigenvalue of the Gram matrix), sparse Gaussian
-  elimination on L_g with seeded random couplings gives the rank; its
-  fill-in grows steeply with the sector size.
+  about a second at (20, 10).  The certificate can fail: the Gram
+  eigenvalues are Wilson's integers, and a prime dividing one of them (at
+  most s(N-s+1)) leaves it inconclusive, which raises ValueError.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ __all__ = [
     "projector",
     "verify_dark",
     "MERSENNE_61",
-    "CROSSCHECK_PRIME",
     "EliminationBudgetExceeded",
     "rank_exact_modp",
 ]
@@ -322,7 +320,7 @@ def null_basis(op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERAN
     g, _ = _read_couplings(op)
     n, s = op.source.n_qubits, op.source.n_excited
     how: dict = {}
-    nullity = op.shape[1] - rank_exact_modp(n, s, seed=0, max_qubits=n, report=how)
+    nullity = op.shape[1] - rank_exact_modp(n, s, max_qubits=n, report=how)
     patterns, signs = _rumer_kernel(n, s)
     if patterns.shape[0] != nullity:
         raise ValueError(f"{patterns.shape[0]} Rumer vectors for the exact nullity {nullity}")
@@ -402,17 +400,16 @@ def verify_dark(
 
 
 # --------------------------------------------------------------------------
-# exact route over F_p: Gram certificate, elimination as fallback
+# exact route over F_p: the Gram certificate
 # --------------------------------------------------------------------------
 
 MERSENNE_61 = (1 << 61) - 1  # 2305843009213693951, the Mersenne prime 2^61 - 1
-CROSSCHECK_PRIME = (1 << 61) - 31  # largest prime below 2^61 - 1; an independent check
 
 RANK_MODP_MAX_QUBITS = 22
 
 
 class EliminationBudgetExceeded(RuntimeError):
-    """Raised when the exact rank (certificate, then elimination) exceeds its budget."""
+    """Raised when the exact rank certificate passes its wall-clock budget."""
 
 
 def _inclusion_maps(
@@ -492,9 +489,9 @@ def _gram_certificate(
     Runs the Krylov sequence v_k = G^k e_0 on the smaller side until v_k
     depends on v_0..v_{k-1}, takes the candidate relation q from the distinct
     rows of the Krylov matrix, and checks q(G) e_0 = 0 on every coordinate by
-    Horner's rule.  Returns None when the check fails or q(0) = 0 (mod prime),
-    so that the caller falls back to elimination.  See :func:`rank_exact_modp`
-    for the soundness argument.
+    Horner's rule.  Returns None when the check fails or q(0) = 0 (mod prime):
+    the certificate is then inconclusive.  See :func:`rank_exact_modp` for
+    the soundness argument.
     """
     n_rows, n_cols, maps = _inclusion_maps(n_qubits, n_excited)
     n_inner = n_cols
@@ -536,98 +533,36 @@ def _gram_certificate(
     return len(coeffs) - 1
 
 
-def _echelon_rank_scalar(
-    n_rows: int,
-    rows_idx: np.ndarray,
-    cols_idx: np.ndarray,
-    vals: np.ndarray,
-    prime: int,
-    deadline: float | None,
-) -> int:
-    """Incremental sparse row echelon over F_prime with Python-int arithmetic.
-
-    Each unprocessed row is reduced against the registered pivot rows until
-    it either empties (dependent) or contributes a new pivot at its leading
-    column.  Pivot rows are normalized once so updates need no inversions.
-    """
-    from collections import defaultdict
-
-    by_row: dict[int, dict[int, int]] = defaultdict(dict)
-    for r, c, v in zip(rows_idx.tolist(), cols_idx.tolist(), vals.tolist()):
-        by_row[r][c] = (by_row[r].get(c, 0) + int(v)) % prime
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
-    merges = 0
-    for r in range(n_rows):
-        row = {c: v for c, v in by_row.get(r, {}).items() if v}
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                inv = pow(row[lead], -1, prime)
-                pivots[lead] = {c: (v * inv) % prime for c, v in row.items()}
-                rank += 1
-                break
-            f = row[lead]
-            for c, v in piv.items():
-                nv = (row.get(c, 0) - f * v) % prime
-                if nv:
-                    row[c] = nv
-                elif c in row:
-                    del row[c]
-            merges += 1
-            if deadline is not None and merges % 64 == 0 and time.monotonic() > deadline:
-                raise EliminationBudgetExceeded(
-                    f"elimination passed its wall-clock budget at rank {rank} "
-                    f"of {n_rows} rows"
-                )
-    return rank
-
-
 def rank_exact_modp(
     n_qubits: int,
     n_excited: int,
-    seed: int,
     prime: int = MERSENNE_61,
     time_budget_s: float | None = None,
     max_qubits: int = RANK_MODP_MAX_QUBITS,
     report: dict | None = None,
 ) -> int:
-    """Exact rank of the lowering block over F_prime.
+    """Exact rank of the lowering block over F_prime, by a certificate that can fail.
 
-    The rank is computed, never assumed, in two stages under one wall-clock
-    budget ``time_budget_s`` (:class:`EliminationBudgetExceeded` when it runs
-    out in either stage):
+    Couplings in [1, prime-1] are units and L_g = D_{s-1}^{-1} W D_s, so
+    rank L_g = rank W.  On the smaller side, G = W W^T (or W^T W) is applied
+    as two passes over the per-qubit index maps, with modular additions only.
+    The Krylov sequence v_k = G^k e_{x0} runs until v_k depends on the
+    earlier vectors; the relation q is solved on the distinct rows of the
+    Krylov matrix and then q(G) e_{x0} = 0 is checked on every coordinate.
+    G commutes with the qubit permutations S_N, so q(G) is constant on each
+    class of subset pairs with a given intersection size, and column x0
+    meets every class: q(G) e_{x0} = 0 therefore gives q(G) = 0.  If also
+    q(0) != 0 (mod prime), G is invertible, W has full rank over F_prime and
+    hence over Q, and the result is min(rows, cols).  The degree of q is at
+    most s (the number of intersection classes), so this costs at most 2s
+    Gram products of 2 N C(N-1, s-1) modular additions each.
 
-    1. **Gram certificate.**  Couplings in [1, prime-1] are units and
-       L_g = D_{s-1}^{-1} W D_s, so rank L_g = rank W.  On the smaller side,
-       G = W W^T (or W^T W) is applied as two passes over the per-qubit index
-       maps, with modular additions only.  The Krylov sequence
-       v_k = G^k e_{x0} runs until v_k depends on the earlier vectors; the
-       relation q is solved on the distinct rows of the Krylov matrix and then
-       q(G) e_{x0} = 0 is checked on every coordinate.  G commutes with the
-       qubit permutations S_N, so q(G) is constant on each class of subset
-       pairs with a given intersection size, and column x0 meets every class:
-       q(G) e_{x0} = 0 therefore gives q(G) = 0.  If also q(0) != 0 (mod
-       prime), G is invertible, W has full rank, and the result is
-       min(rows, cols).  The degree of q is at most s (the number of
-       intersection classes), so this costs at most 2s Gram products of
-       2 N C(N-1, s-1) modular additions each.
-    2. **Elimination fallback.**  The eigenvalues of G are the integers
-       (s-i)(N-s+1-i) (Wilson 1990), so the certificate can only fail for a
-       prime that divides one of them, at most s(N-s+1); e.g. prime 3 at
-       (6, 3), where the true rank is 14 of 15.  Both documented primes
-       always certify.  On failure, sparse row echelon with Python-int
-       arithmetic runs on the lowering block with couplings drawn uniformly
-       from [1, prime-1] by the Philox stream of ``seed``, on whichever
-       orientation has fewer rows.  Its fill-in grows steeply: mod 3 it
-       takes about 4 s at (14, 7) and a minute at (16, 8).
-
-    ``seed`` therefore only matters on the fallback path.  Any odd prime of
-    at most 61 bits is accepted; ``CROSSCHECK_PRIME`` gives an independent
-    check on demand.  A ``report`` dict, if given, receives how the rank was
-    obtained: ``route`` ("gram-certificate" or "elimination") and ``degree``
-    (of q, None on the fallback).
+    The eigenvalues of G are Wilson's integers (s-i)(N-s+1-i), so only a
+    prime up to s(N-s+1) can leave the certificate inconclusive (prime 3 at
+    (6, 3)); the call then raises ValueError.  ``MERSENNE_61`` certifies
+    every N <= 22.  ``time_budget_s`` bounds the wall-clock time
+    (:class:`EliminationBudgetExceeded`).  A ``report`` dict, if given,
+    receives ``route`` ("gram-certificate") and ``degree`` (of q).
     """
     if n_qubits > max_qubits:
         raise ValueError(f"n_qubits={n_qubits} exceeds the cap of {max_qubits}")
@@ -638,17 +573,9 @@ def rank_exact_modp(
 
     deadline = None if time_budget_s is None else time.monotonic() + time_budget_s
     degree = _gram_certificate(n_qubits, n_excited, prime, deadline)
+    if degree is None:
+        raise ValueError(f"the ({n_qubits}, {n_excited}) rank certificate is inconclusive "
+                         f"mod {prime}: the prime divides an eigenvalue of the Gram matrix of W")
     if report is not None:
-        report.update(route="elimination" if degree is None else "gram-certificate",
-                      degree=degree)
-    if degree is not None:
-        return min(comb(n_qubits, n_excited), comb(n_qubits, n_excited - 1))
-    g = np.random.Generator(np.random.Philox(key=seed)).integers(
-        1, prime, size=n_qubits, dtype=np.uint64)
-    n_rows, n_cols, maps = _inclusion_maps(n_qubits, n_excited)
-    rows, cols = (np.concatenate(idx) for idx in zip(*maps))
-    vals = np.concatenate([np.full(r.size, g[i], dtype=np.uint64) for i, (r, _) in enumerate(maps)])
-    if n_cols < n_rows:
-        rows, cols = cols, rows
-        n_rows, n_cols = n_cols, n_rows
-    return _echelon_rank_scalar(n_rows, rows, cols, vals, prime, deadline)
+        report.update(route="gram-certificate", degree=degree)
+    return min(comb(n_qubits, n_excited), comb(n_qubits, n_excited - 1))

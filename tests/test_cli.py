@@ -120,7 +120,7 @@ def test_rank_record_says_how_the_rank_was_obtained(capsys):
     (record,) = payload["data"]["records"]
     assert record["route"] == "gram-certificate"
     assert record["degree"] == 5
-    assert record["seed"] is None  # the certificate draws no couplings
+    assert "seed" not in record  # the certificate draws no couplings
 
 
 def test_darkbasis_refuses_a_projector_over_the_cap(capsys):
@@ -322,6 +322,40 @@ def test_config_file_defaults(capsys, tmp_path):
     assert payload["config"]["n"] == 4
     assert payload["config"]["seed"] == 11
     assert payload["data"]["n_dark_expected"] == 2
+
+
+def test_config_file_with_equals_sign(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 4\ns = 2\nseed = 11\n")
+    payload = run_json(capsys, "protocol", f"--config={cfg}")
+    assert (payload["config"]["n"], payload["config"]["seed"]) == (4, 11)
+
+
+@pytest.mark.parametrize("tail,message", [
+    ([], "expected one argument"), (["no-such.cfg"], "No such file")], ids=["bare", "missing"])
+def test_config_flag_without_a_file_is_a_usage_error(capsys, tmp_path, tail, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["protocol", "--n", "4", "--s", "2", "--config", *(str(tmp_path / t) for t in tail)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_file_rejects_an_unknown_key(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 4\ns = 2\nsede = 3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["protocol", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "--sede=3" in capsys.readouterr().err
+
+
+def test_explicit_flag_overrides_config_file(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    # a switch set off is left out, so protocol never sees an --all-s flag
+    cfg.write_text("n = 4\ns = 2\nseed = 11\nno_phases = yes\nall_s = off\n")
+    payload = run_json(capsys, "protocol", "--seed", "5", "--config", str(cfg))
+    assert payload["config"]["seed"] == 5
+    assert payload["config"]["no_phases"] is True
 
 
 def test_profile_json_import(capsys, tmp_path):
