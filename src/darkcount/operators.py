@@ -240,7 +240,8 @@ def build_hamiltonian(model: HamiltonianModel) -> sp.csr_matrix:
 
     Acts on the qubit (x) photon space with the photon mode truncated at
     n_photon_max.  Commutes with the total excitation number
-    a^dag a + S^z + N/2, so dynamics stay block diagonal.
+    a^dag a + S^z + N/2, so dynamics stay block diagonal.  The trajectory
+    engine assembles only its excitation block; this is the tests' oracle.
     """
     n = model.n_qubits
     p = model.n_photon_max
@@ -263,14 +264,4 @@ def build_hamiltonian(model: HamiltonianModel) -> sp.csr_matrix:
     h = model.omega * (sp.kron(eye_q, nph) + sp.kron(sz, eye_p))
     h = h + sp.kron(raiser, a) + sp.kron(lower, adag)
     return h.tocsr()
-
-
-def excitation_number(model: HamiltonianModel) -> sp.csr_matrix:
-    """Diagonal a^dag a + S^z + N/2 on the same space as :func:`build_hamiltonian`."""
-    n, p = model.n_qubits, model.n_photon_max
-    diag = np.empty(model.dim)
-    for m in range(1 << n):
-        for k in range(p + 1):
-            diag[model.index(m, k)] = m.bit_count() + k
-    return sp.diags(diag).tocsr()
 

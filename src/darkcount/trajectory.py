@@ -8,12 +8,13 @@ no-jump state first drops below its uniform variate u_i.
 
 The no-jump generator conserves excitation number, so the whole run lives
 on the block of states |q, k> with popcount(q) + k = s: 163 states at
-(N, s) = (8, 4) against 1280 for the full truncated space.  There the
-propagator over one grid step is taken exactly with ``expm``; omega is a
-constant on the block and only adds a phase.  The squared norm decays
-monotonically, so the no-click probability converges to the dark-projector
-expectation of the initial state once kappa dominates all couplings and the
-waiting time covers the weakest coupling.
+(N, s) = (8, 4) against 1280 for the full truncated space, assembled from
+the sector lowering blocks.  There the propagator over one grid step is
+taken exactly with ``expm``; omega is a constant on the block and only adds
+a phase.  The squared norm decays monotonically, so the no-click
+probability converges to the dark-projector expectation of the initial
+state once kappa dominates all couplings and the waiting time covers the
+weakest coupling.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
-from .operators import HamiltonianModel, PureState, build_hamiltonian, excitation_number
+from .operators import HamiltonianModel, PureState, build_lowering_block
+from .sector import enumerate_sector, state_index
 
 NORM_GRID_POINTS = 4096
 
@@ -74,22 +77,6 @@ class TrajectoryConfig:
         if isinstance(self.initial, PureState):
             return self.initial.basis.n_excited
         return int(self.initial).bit_count()
-
-    def initial_vector(self) -> np.ndarray:
-        """Initial state embedded in the full qubit (x) photon space, photons empty."""
-        psi = np.zeros(self.model.dim, dtype=np.complex128)
-        if isinstance(self.initial, PureState):
-            if self.initial.basis.n_qubits != self.model.n_qubits:
-                raise ValueError("initial state register size differs from the model")
-            amps = self.initial.normalized().amplitudes
-            for pattern, a in zip(self.initial.basis.states, amps):
-                psi[self.model.index(pattern, 0)] = a
-        else:
-            pattern = int(self.initial)
-            if pattern < 0 or pattern >> self.model.n_qubits:
-                raise ValueError("initial pattern has bits outside the register")
-            psi[self.model.index(pattern, 0)] = 1.0
-        return psi
 
 
 def standard_config(
@@ -144,18 +131,34 @@ class ClickStatistics:
 def _no_jump_norm_curve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray]:
     """Squared norm of the no-jump state at the grid times k * dt, k = 0..NORM_GRID_POINTS.
 
-    Restricts H - (i kappa / 2) a^dag a to the initial state's excitation
-    block, takes the one-step propagator exp(-i dt H_blk) exactly, and walks
-    the grid with one mat-vec per point.
+    Assembles H - (i kappa / 2) a^dag a on the initial state's excitation
+    block: sub-block k holds k photons and the (s-k)-sector in canonical
+    order, coupled to k+1 photons by sqrt(k+1) L_{s-k}; omega adds a
+    constant there and is dropped.  psi_0 lies in the photon-0 sub-block.
+    Takes the one-step propagator exp(-i dt H_blk) exactly and walks the
+    grid with one mat-vec per point.
     """
-    model = config.model
-    idx = np.flatnonzero(excitation_number(model).diagonal() == config._initial_excitations())
-    n_ph = idx % (model.n_photon_max + 1)  # qubit-major ordering, see HamiltonianModel.index
-    h_blk = build_hamiltonian(model)[idx][:, idx].toarray()
-    h_blk -= 0.5j * config.kappa * np.diag(n_ph)
-    step = scipy.linalg.expm(-1j * config.dt * h_blk)
+    n, s, initial = config.model.n_qubits, config._initial_excitations(), config.initial
+    lower = [build_lowering_block(n, s - k, config.model.profile) for k in range(s)]
+    sizes = [op.shape[1] for op in lower] + [1]  # k = s photons: the all-ground state
+    blocks = [[None] * (s + 1) for _ in range(s + 1)]
+    for k in range(s + 1):
+        blocks[k][k] = sp.identity(sizes[k]) * (-0.5j * config.kappa * k)
+    for k, op in enumerate(lower):
+        blocks[k + 1][k] = np.sqrt(k + 1) * op.matrix
+        blocks[k][k + 1] = blocks[k + 1][k].conj().T
 
-    psi = config.initial_vector()[idx]
+    if isinstance(initial, PureState):
+        if initial.basis.n_qubits != n:
+            raise ValueError("initial state register size differs from the model")
+        patterns, amps = initial.basis.states, initial.normalized().amplitudes
+    else:
+        patterns, amps = [int(initial)], 1.0
+    sector = lower[0].source if lower else enumerate_sector(n, 0, max_qubits=n)
+    psi = np.zeros(sum(sizes), dtype=np.complex128)
+    psi[[state_index(sector, m) for m in patterns]] = amps  # checks register and popcount
+
+    step = scipy.linalg.expm(-1j * config.dt * sp.bmat(blocks).toarray())
     norms = np.empty(NORM_GRID_POINTS + 1)
     norms[0] = np.vdot(psi, psi).real
     for k in range(1, NORM_GRID_POINTS + 1):

@@ -306,7 +306,8 @@ def test_criterion_8_master_equation_crosscheck():
         for k in range(2):
             n_ph[model.index(pattern, k)] = k
     h_eff = h - 0.5j * config.kappa * np.diag(n_ph)
-    psi0 = config.initial_vector()
+    psi0 = np.zeros(model.dim, dtype=np.complex128)
+    psi0[model.index(0b01, 0)] = 1.0
     rho0 = np.outer(psi0, psi0.conj())
 
     def rhs(_, y):

@@ -42,7 +42,18 @@ def test_count_large_sector_formula_with_skips(capsys):
     assert result["formula"] == 16796
     assert not result["methods"]["numeric"]["ran"]
     assert not result["methods"]["oracle"]["ran"]
-    assert not result["methods"]["exact_modp"]["ran"]
+    assert result["methods"]["exact_modp"]["ran"]
+    assert result["methods"]["exact_modp"]["value"] == 16796
+    assert payload["data"]["all_agree"]
+
+
+@pytest.mark.parametrize("n,s", [(23, 2), (23, 21), (24, 1)])
+def test_count_past_the_modp_qubit_cap_skips_the_exact_route(capsys, n, s):
+    payload = run_json(capsys, "count", "--n", str(n), "--s", str(s))
+    result = payload["data"]["results"][0]
+    assert result["methods"]["exact_modp"] == {
+        "ran": False, "why": f"N {n} over the F_p cap of 22"}
+    assert result["methods"]["numeric"]["value"] == result["formula"]
     assert payload["data"]["all_agree"]
 
 

@@ -13,7 +13,6 @@ from darkcount.operators import (
     PureState,
     build_hamiltonian,
     build_lowering_block,
-    excitation_number,
     single_excitation_dark_states,
     total_s_squared,
     total_sz,
@@ -226,7 +225,8 @@ def test_hamiltonian_conserves_excitation_number():
     profile = sample_profile(3, DEFAULT_DISORDER, seed=9)
     model = HamiltonianModel(3, profile, omega=1.3, n_photon_max=3)
     h = build_hamiltonian(model)
-    n_exc = excitation_number(model)
+    # a^dag a + S^z + N/2 in the qubit-major order of HamiltonianModel.index
+    n_exc = sp.diags([m.bit_count() + k for m in range(1 << 3) for k in range(4)], dtype=float)
     comm = h @ n_exc - n_exc @ h
     assert sp.linalg.norm(comm) <= 1e-13 * sp.linalg.norm(h)
 

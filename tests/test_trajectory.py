@@ -1,3 +1,6 @@
+from dataclasses import replace
+from math import comb
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -6,6 +9,7 @@ from darkcount.couplings import DisorderSpec, sample_profile, uniform_profile
 from darkcount.darkspace import dark_subspace, projector
 from darkcount.operators import HamiltonianModel, PureState, build_hamiltonian
 from darkcount.protocol import null_emission_probability
+from darkcount.sector import SectorBasis, enumerate_sector
 from darkcount.trajectory import (
     TrajectoryConfig,
     no_click_vs_kappa,
@@ -39,6 +43,18 @@ def full_space_h_eff(config):
     return h - 0.5j * config.kappa * np.diag(n_ph)
 
 
+def full_space_psi0(config):
+    """Initial state on the whole truncated space, cavity empty, placed by model.index."""
+    psi = np.zeros(config.model.dim, dtype=np.complex128)
+    if isinstance(config.initial, PureState):
+        amps = config.initial.normalized().amplitudes
+        for pattern, a in zip(config.initial.basis.states, amps):
+            psi[config.model.index(pattern, 0)] = a
+    else:
+        psi[config.model.index(config.initial, 0)] = 1.0
+    return psi
+
+
 def no_jump_master_equation(config):
     """Oracle: conditional (no-click) density matrix under continuous monitoring.
 
@@ -48,7 +64,7 @@ def no_jump_master_equation(config):
     probability.
     """
     h_eff = full_space_h_eff(config)
-    psi0 = config.initial_vector()
+    psi0 = full_space_psi0(config)
     rho0 = np.outer(psi0, psi0.conj())
     dim = rho0.shape[0]
 
@@ -118,7 +134,8 @@ def test_omega_only_adds_a_phase():
     assert slow.norm_grid[-1] == pytest.approx(0.75, abs=1e-3)
 
 
-@pytest.mark.parametrize("n,s,seed", [(2, 1, 0), (3, 1, 1), (3, 2, 2), (4, 2, 3)])
+# (20, 2): a 211-state excitation block inside a 3.1M-state truncated space
+@pytest.mark.parametrize("n,s,seed", [(2, 1, 0), (3, 1, 1), (3, 2, 2), (4, 2, 3), (20, 2, 4)])
 def test_lossy_limit_matches_projector(n, s, seed):
     profile = sample_profile(n, MILD, seed=seed)
     cfg = make_config(n, s, profile, trajectories=10_000, seed=seed + 100)
@@ -155,15 +172,24 @@ def test_kappa_1000_within_two_percent_n3():
     assert abs(stats.p_no_click - expected) <= max(0.02, 4.0 * stats.standard_error)
 
 
-@pytest.mark.parametrize("n,s", [(3, 2), (4, 2)])
-def test_norms_match_full_space_exponential(n, s):
+@pytest.mark.parametrize("n,s,superposed", [
+    pytest.param(3, 2, False, id="3-2"),
+    pytest.param(4, 2, False, id="4-2"),
+    # a non-dark superposition: a mis-ordered photon-0 embedding changes its decay
+    pytest.param(5, 2, True, id="5-2-superposition"),
+])
+def test_norms_match_full_space_exponential(n, s, superposed):
     from scipy.linalg import expm
 
     profile = sample_profile(n, MILD, seed=3)
     cfg = make_config(n, s, profile, trajectories=10, omega=0.7)
+    if superposed:
+        rng = np.random.default_rng(8)
+        amps = rng.normal(size=(comb(n, s), 2)) @ [1.0, 1.0j]
+        cfg = replace(cfg, initial=PureState(enumerate_sector(n, s), amps))
     stats = run_trajectories(cfg)
     h_eff = full_space_h_eff(cfg)
-    psi0 = cfg.initial_vector()
+    psi0 = full_space_psi0(cfg)
     for k in (1, 17, 300, 2048, 4096):
         psi = expm(-1j * stats.norm_grid_times[k] * h_eff) @ psi0
         assert stats.norm_grid[k] == pytest.approx(np.vdot(psi, psi).real, abs=1e-10)
@@ -199,3 +225,11 @@ def test_config_validation():
     with pytest.raises(ValueError, match="truncation"):
         TrajectoryConfig(model=model, kappa=100.0, t_max=50.0,
                          n_trajectories=10, seed=0, initial=0b11)
+    with pytest.raises(ValueError, match="outside"):
+        run_trajectories(standard_config(model, 100.0, initial=0b100))
+    with pytest.raises(ValueError, match="register size"):
+        run_trajectories(standard_config(model, 100.0,
+                                         initial=PureState(enumerate_sector(3, 1), np.ones(3))))
+    wrong_popcount = PureState(SectorBasis(2, 1, (0b01, 0b11)), np.ones(2))
+    with pytest.raises(ValueError, match="excited qubits"):
+        run_trajectories(standard_config(model, 100.0, initial=wrong_popcount))
