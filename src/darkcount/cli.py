@@ -36,7 +36,7 @@ from .couplings import (
 )
 from .darkspace import (
     DEFAULT_TOLERANCE,
-    MERSENNE_61,
+    MERSENNE_31,
     RANK_MODP_MAX_QUBITS,
     EliminationBudgetExceeded,
     dark_subspace,
@@ -253,7 +253,7 @@ def cmd_rank(args) -> dict:
         how: dict = {}
         rank = rank_exact_modp(n, s, time_budget_s=args.budget, report=how)
         records.append(
-            {"N": n, "s": s, "method": f"modp({MERSENNE_61})", "rank": rank,
+            {"N": n, "s": s, "method": f"modp({MERSENNE_31})", "rank": rank,
              "nullity": size - rank, "tolerance": None, **how}
         )
     if args.method in ("numeric", "both"):

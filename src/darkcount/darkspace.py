@@ -17,12 +17,12 @@ orthonormal, does.  Two independent routes give the same integers:
   basis of ker W scaled by |D_s|^{-1}, made orthonormal by one real QR; the
   coupling phases go back on only where the vectors themselves are read;
 * an exact route over F_p, where rank L_g = rank W as well.  The rank is
-  certified by showing that the Gram matrix of W is invertible mod p (a
-  minimal polynomial found by a Krylov sequence from one basis vector,
-  checked on every coordinate, with nonzero constant term).  This takes
-  about a second at (20, 10).  The certificate can fail: the Gram
-  eigenvalues are Wilson's integers, and a prime dividing one of them (at
-  most s(N-s+1)) leaves it inconclusive, which raises ValueError.
+  certified by showing that the Gram matrix of W is invertible mod p:
+  Wilson's eigenvalues (s-i)(N-s+1-i) give a polynomial q, and q(G) e_0 = 0
+  is checked with the package's own W, so a W built wrong fails.  This
+  takes about 0.15 s at (20, 10).  A prime dividing one of the
+  eigenvalues (at most s(N-s+1)) leaves it inconclusive, which raises
+  ValueError.
 """
 
 from __future__ import annotations
@@ -30,14 +30,13 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
 from .couplings import CouplingProfile
-from .operators import PureState, SectorOperator, build_lowering_block
+from .operators import PureState, SectorOperator, build_lowering_block, inclusion_pattern
 from .sector import SectorBasis, enumerate_sector
 
 __all__ = [
@@ -52,7 +51,7 @@ __all__ = [
     "dark_subspace",
     "projector",
     "verify_dark",
-    "MERSENNE_61",
+    "MERSENNE_31",
     "EliminationBudgetExceeded",
     "rank_exact_modp",
 ]
@@ -355,7 +354,7 @@ def dark_subspace(
     the subspace is defined as that single state.
     """
     if n_excited == 0:
-        return DarkSubspace(enumerate_sector(n_qubits, 0), np.ones((1, 1)),
+        return DarkSubspace(enumerate_sector(n_qubits, 0, max_qubits=n_qubits), np.ones((1, 1)),
                             np.ones(1, dtype=np.complex128), "convention", None)
     return null_basis(build_lowering_block(n_qubits, n_excited, profile), tol_policy)
 
@@ -403,7 +402,7 @@ def verify_dark(
 # exact route over F_p: the Gram certificate
 # --------------------------------------------------------------------------
 
-MERSENNE_61 = (1 << 61) - 1  # 2305843009213693951, the Mersenne prime 2^61 - 1
+MERSENNE_31 = (1 << 31) - 1  # 2147483647, the Mersenne prime 2^31 - 1
 
 RANK_MODP_MAX_QUBITS = 22
 
@@ -412,131 +411,10 @@ class EliminationBudgetExceeded(RuntimeError):
     """Raised when the exact rank certificate passes its wall-clock budget."""
 
 
-def _inclusion_maps(
-    n_qubits: int, n_excited: int
-) -> tuple[int, int, list[tuple[np.ndarray, np.ndarray]]]:
-    """Per-qubit index maps of the 0/1 inclusion matrix W, vectorized.
-
-    Returns (n_rows, n_cols, maps); rows index the (s-1)-sector, columns the
-    s-sector, and maps[i] = (rows, cols) lists the entries that lower qubit i.
-    Within one map both index arrays are duplicate-free.
-    """
-    src = np.array(enumerate_sector(n_qubits, n_excited, n_qubits).states, dtype=np.uint64)
-    tgt = np.array(enumerate_sector(n_qubits, n_excited - 1, n_qubits).states, dtype=np.uint64)
-    col_ids = np.arange(src.size, dtype=np.int64)
-    maps = []
-    for i in range(n_qubits):
-        bit = np.uint64(1 << i)
-        has = (src & bit) != 0
-        maps.append((np.searchsorted(tgt, src[has] ^ bit), col_ids[has]))
-    return tgt.size, src.size, maps
-
-
-def _gram_apply(
-    v: np.ndarray, maps: list[tuple[np.ndarray, np.ndarray]], n_inner: int, prime: int
-) -> np.ndarray:
-    """G v mod prime, with G = M M^T for the 0/1 matrix M given by ``maps``.
-
-    Each map is (outer, inner): entry M[outer[j], inner[j]] = 1.  Two passes of
-    gathers and modular additions; no index repeats within one map.
-    """
-    p = np.uint64(prime)
-    inner = np.zeros(n_inner, dtype=np.uint64)
-    for outer_idx, inner_idx in maps:
-        t = inner[inner_idx] + v[outer_idx]
-        inner[inner_idx] = np.where(t >= p, t - p, t)
-    out = np.zeros_like(v)
-    for outer_idx, inner_idx in maps:
-        t = out[outer_idx] + inner[inner_idx]
-        out[outer_idx] = np.where(t >= p, t - p, t)
-    return out
-
-
-def _dependency_modp(rows: np.ndarray, prime: int) -> list[int] | None:
-    """Coefficients c with c[-1] = 1 and rows @ c = 0 (mod prime), or None.
-
-    Gauss-Jordan on Python ints; the matrix is a few rows wide.
-    """
-    m = [[int(x) % prime for x in row] for row in rows.tolist()]
-    k = len(m[0]) - 1
-    pivots: list[int] = []
-    for c in range(k + 1):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        if c == k:
-            return None  # the last column is independent of the others
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, prime)
-        m[r] = [(x * inv) % prime for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % prime for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-    coeffs = [0] * k + [1]
-    for row, c in zip(m, pivots):
-        coeffs[c] = (-row[k]) % prime
-    return coeffs
-
-
-def _gram_certificate(
-    n_qubits: int, n_excited: int, prime: int, deadline: float | None
-) -> int | None:
-    """Degree of the relation q if the Gram matrix of W is provably invertible mod prime.
-
-    Runs the Krylov sequence v_k = G^k e_0 on the smaller side until v_k
-    depends on v_0..v_{k-1}, takes the candidate relation q from the distinct
-    rows of the Krylov matrix, and checks q(G) e_0 = 0 on every coordinate by
-    Horner's rule.  Returns None when the check fails or q(0) = 0 (mod prime):
-    the certificate is then inconclusive.  See :func:`rank_exact_modp` for
-    the soundness argument.
-    """
-    n_rows, n_cols, maps = _inclusion_maps(n_qubits, n_excited)
-    n_inner = n_cols
-    if n_cols < n_rows:
-        maps = [(cols, rows) for rows, cols in maps]
-        n_inner = n_rows
-    dim = min(n_rows, n_cols)
-    v = np.zeros(dim, dtype=np.uint64)
-    v[0] = 1
-    krylov = [v]
-    labels = v.astype(np.int64)  # equal labels <=> equal rows of the Krylov matrix
-    coeffs = None
-    while coeffs is None:
-        if deadline is not None and time.monotonic() > deadline:
-            raise EliminationBudgetExceeded(
-                f"rank certificate passed its wall-clock budget after "
-                f"{len(krylov) - 1} Gram products on {dim} rows"
-            )
-        krylov.append(_gram_apply(krylov[-1], maps, n_inner, prime))
-        # the Krylov vectors are constant on the intersection classes with
-        # x0 = 0, so the matrix has at most s distinct rows
-        _, ids = np.unique(krylov[-1], return_inverse=True)
-        _, first, labels = np.unique(
-            labels * (ids.max() + 1) + ids, return_index=True, return_inverse=True
-        )
-        coeffs = _dependency_modp(np.stack([u[first] for u in krylov], axis=1), prime)
-    # q(G) e_0 by Horner's rule, q monic: only Gram products and modular additions
-    w = v.copy()
-    for c in reversed(coeffs[:-1]):
-        if deadline is not None and time.monotonic() > deadline:
-            raise EliminationBudgetExceeded(
-                f"rank certificate passed its wall-clock budget while checking "
-                f"a degree-{len(coeffs) - 1} relation on {dim} rows"
-            )
-        w = _gram_apply(w, maps, n_inner, prime)
-        w[0] = (int(w[0]) + c) % prime
-    if np.any(w) or coeffs[0] == 0:
-        return None
-    return len(coeffs) - 1
-
-
 def rank_exact_modp(
     n_qubits: int,
     n_excited: int,
-    prime: int = MERSENNE_61,
+    prime: int = MERSENNE_31,
     time_budget_s: float | None = None,
     max_qubits: int = RANK_MODP_MAX_QUBITS,
     report: dict | None = None,
@@ -544,38 +422,51 @@ def rank_exact_modp(
     """Exact rank of the lowering block over F_prime, by a certificate that can fail.
 
     Couplings in [1, prime-1] are units and L_g = D_{s-1}^{-1} W D_s, so
-    rank L_g = rank W.  On the smaller side, G = W W^T (or W^T W) is applied
-    as two passes over the per-qubit index maps, with modular additions only.
-    The Krylov sequence v_k = G^k e_{x0} runs until v_k depends on the
-    earlier vectors; the relation q is solved on the distinct rows of the
-    Krylov matrix and then q(G) e_{x0} = 0 is checked on every coordinate.
-    G commutes with the qubit permutations S_N, so q(G) is constant on each
-    class of subset pairs with a given intersection size, and column x0
-    meets every class: q(G) e_{x0} = 0 therefore gives q(G) = 0.  If also
-    q(0) != 0 (mod prime), G is invertible, W has full rank over F_prime and
-    hence over Q, and the result is min(rows, cols).  The degree of q is at
-    most s (the number of intersection classes), so this costs at most 2s
-    Gram products of 2 N C(N-1, s-1) modular additions each.
+    rank L_g = rank W.  Wilson's theorem gives the eigenvalues of the Gram
+    matrix G = W W^T (or W^T W, on the smaller side) as the integers
+    lambda_i = (s-i)(N-s+1-i), i < k, with k = s on the (s-1)-subset side
+    and k = N-s+1 on the s-subset side.  They are used only as a witness:
+    q(G) e_{x0} = 0 for q(x) = prod_i (x - lambda_i) is checked on every
+    coordinate, with W from :func:`~darkcount.operators.inclusion_pattern`,
+    the construction behind :func:`build_lowering_block`.  G commutes with
+    the qubit permutations S_N, so q(G) is constant on each class of subset
+    pairs with a given intersection size, and column x0 meets every class:
+    q(G) e_{x0} = 0 therefore gives q(G) = 0.  If also no lambda_i vanishes
+    mod prime, q(0) != 0 and G is invertible, W has full rank over F_prime
+    and hence over Q, and the result is min(rows, cols).  A W built wrong
+    fails the check.  The cost is at most s factors of two sparse products.
 
-    The eigenvalues of G are Wilson's integers (s-i)(N-s+1-i), so only a
-    prime up to s(N-s+1) can leave the certificate inconclusive (prime 3 at
-    (6, 3)); the call then raises ValueError.  ``MERSENNE_61`` certifies
-    every N <= 22.  ``time_budget_s`` bounds the wall-clock time
-    (:class:`EliminationBudgetExceeded`).  A ``report`` dict, if given,
-    receives ``route`` ("gram-certificate") and ``degree`` (of q).
+    A prime up to s(N-s+1) can divide a lambda_i (prime 3 at (6, 3)); the
+    certificate is then inconclusive and the call raises ValueError.
+    ``MERSENNE_31`` certifies every N <= 22.  ``time_budget_s`` bounds the
+    wall-clock time (:class:`EliminationBudgetExceeded`).  A ``report``
+    dict, if given, receives ``route`` ("gram-certificate") and ``degree``
+    (k, the degree of q).
     """
     if n_qubits > max_qubits:
         raise ValueError(f"n_qubits={n_qubits} exceeds the cap of {max_qubits}")
     if n_excited < 1 or n_excited > n_qubits:
         raise ValueError("n_excited must lie in [1, n_qubits] for a lowering block")
-    if prime.bit_length() > 61 or prime < 3:
-        raise ValueError("prime must be an odd prime with at most 61 bits")
+    if prime.bit_length() > 31 or prime < 3 or prime % 2 == 0:
+        raise ValueError("prime must be an odd prime with at most 31 bits")
 
     deadline = None if time_budget_s is None else time.monotonic() + time_budget_s
-    degree = _gram_certificate(n_qubits, n_excited, prime, deadline)
-    if degree is None:
+    source, target, indptr, rows, _ = inclusion_pattern(n_qubits, n_excited)
+    w = sp.csc_matrix((np.ones(rows.size, dtype=np.int64), rows, indptr),
+                      shape=(target.size, source.size))
+    m, k = (w, n_excited) if w.shape[0] <= w.shape[1] else (w.T, n_qubits - n_excited + 1)
+    lams = [(n_excited - i) * (n_qubits - n_excited + 1 - i) % prime for i in range(k)]
+    v = np.zeros(m.shape[0], dtype=np.int64)
+    v[0] = 1
+    for i, lam in enumerate(lams):  # every intermediate stays below (N + lam + 1) prime < 2^63
+        if deadline is not None and time.monotonic() > deadline:
+            raise EliminationBudgetExceeded(f"rank certificate passed its wall-clock budget "
+                                            f"after {i} of {k} Gram factors on {v.size} rows")
+        v = (m @ (m.T @ v % prime) - lam * v) % prime
+    if np.any(v) or not all(lams):
         raise ValueError(f"the ({n_qubits}, {n_excited}) rank certificate is inconclusive "
-                         f"mod {prime}: the prime divides an eigenvalue of the Gram matrix of W")
+                         f"mod {prime}: Wilson's q(G) does not vanish on e_0, or the prime "
+                         f"divides one of its roots")
     if report is not None:
-        report.update(route="gram-certificate", degree=degree)
-    return min(comb(n_qubits, n_excited), comb(n_qubits, n_excited - 1))
+        report.update(route="gram-certificate", degree=k)
+    return min(w.shape)

@@ -25,8 +25,11 @@ def _sector_for_operator(n_qubits: int, n_excited: int):
 
     Single-excitation work at large N (sector size N) is cheap even though N
     exceeds the default register cap; what desk-scale memory cannot hold is a
-    large binomial, so that is what gets bounded here.
+    large binomial, so that is what gets bounded here.  Patterns are held as
+    uint64, so the register is capped at 64 qubits.
     """
+    if n_qubits > 64:
+        raise ValueError(f"n_qubits={n_qubits} exceeds the 64 qubits of a uint64 pattern")
     if comb(n_qubits, n_excited) > OPERATOR_SECTOR_CAP:
         raise ValueError(
             f"sector ({n_qubits}, {n_excited}) has {comb(n_qubits, n_excited)} states, "
@@ -112,13 +115,40 @@ def total_sz(n_qubits: int) -> TotalSz:
     return TotalSz(n_qubits)
 
 
+def inclusion_pattern(
+    n_qubits: int, n_excited: int
+) -> tuple[SectorBasis, SectorBasis, np.ndarray, np.ndarray, np.ndarray]:
+    """CSC pattern of the 0/1 inclusion matrix W of (s-1)-subsets in s-subsets.
+
+    Returns (source, target, indptr, rows, qubit): W is C(N, s-1) x C(N, s),
+    column j holds the s rows of source state j with one excited qubit
+    de-excited, in ascending order, and ``qubit[k]`` is the qubit that entry
+    k lowers.  The arrays are built per bit, so nothing of size C(N, s) x N
+    is formed.
+    """
+    source = _sector_for_operator(n_qubits, n_excited)
+    target = _sector_for_operator(n_qubits, n_excited - 1)
+    src = np.array(source.states, dtype=np.uint64)  # 64 qubits fill every bit
+    tgt = np.array(target.states, dtype=np.uint64)
+    rows = np.empty((src.size, n_excited), dtype=np.int32)  # the cap keeps rows below 2^31
+    qubit = np.empty((src.size, n_excited), dtype=np.int8)
+    rest = src.copy()
+    for k in reversed(range(n_excited)):  # de-exciting a lower bit leaves a larger row
+        bit = rest & ~(rest - np.uint64(1))
+        rest ^= bit
+        rows[:, k] = np.searchsorted(tgt, src ^ bit)
+        qubit[:, k] = np.frexp(bit.astype(np.float64))[1] - 1  # exact log2 of a power of two
+    indptr = np.arange(0, rows.size + 1, n_excited, dtype=np.int32)
+    return source, target, indptr, rows.ravel(), qubit.ravel()
+
+
 def build_lowering_block(
     n_qubits: int, n_excited: int, profile: CouplingProfile
 ) -> SectorOperator:
     """Matrix elements <t_k| sum_i g_i S_i^- |s_j> between adjacent sectors.
 
-    Each source state contributes one entry per excited qubit i: the coupling
-    g_i, at the row of the target state with that qubit de-excited.
+    The pattern of :func:`inclusion_pattern` with the coupling g_i on each
+    entry that lowers qubit i.
     """
     if n_excited < 1:
         raise ValueError("lowering from the zero-excitation sector is not defined")
@@ -126,16 +156,9 @@ def build_lowering_block(
         raise ValueError(
             f"profile has {profile.n_qubits} couplings for {n_qubits} qubits"
         )
-    source = _sector_for_operator(n_qubits, n_excited)
-    target = _sector_for_operator(n_qubits, n_excited - 1)
-    src = np.array(source.states, dtype=np.uint64)  # 64 qubits fill every bit
-    cols, qubit = np.nonzero((src[:, None] >> np.arange(n_qubits, dtype=np.uint64)) & 1)
-    lowered = src[cols] ^ (np.uint64(1) << qubit.astype(np.uint64))
-    rows = np.searchsorted(np.array(target.states, dtype=np.uint64), lowered)
-    matrix = sp.csc_matrix(
-        (profile.as_array()[qubit], (rows, cols)), shape=(target.size, source.size),
-        dtype=np.complex128,
-    )
+    source, target, indptr, rows, qubit = inclusion_pattern(n_qubits, n_excited)
+    matrix = sp.csc_matrix((profile.as_array()[qubit], rows, indptr),
+                           shape=(target.size, source.size), dtype=np.complex128)
     return SectorOperator(source=source, target=target, matrix=matrix)
 
 

@@ -23,7 +23,7 @@ from .counting import ndark_formula
 from .couplings import CouplingProfile
 from .darkspace import DEFAULT_TOLERANCE, Projector, TolerancePolicy, dark_subspace, projector
 from .operators import PureState
-from .sector import enumerate_sector, state_index
+from .sector import state_index
 
 BASIS_BYTES_CAP = 256 << 20  # the real dim x nullity Q in float64: 147 MB at (16, 8)
 
@@ -88,7 +88,6 @@ def measure_d(
     The sum equals the trace of the dark projector over the s-sector, i.e.
     the number of independent dark states there.
     """
-    basis = enumerate_sector(n_qubits, n_excited)
     nbytes = dark_basis_bytes(n_qubits, n_excited)
     if nbytes > BASIS_BYTES_CAP:
         raise ValueError(f"the ({n_qubits}, {n_excited}) dark basis takes {nbytes >> 20} MiB, "
@@ -97,7 +96,7 @@ def measure_d(
         raise ValueError(f"profile has {profile.n_qubits} couplings for {n_qubits} qubits")
     sub = dark_subspace(n_qubits, n_excited, profile, tol_policy)
     diag = projector(sub).diagonal()
-    per = [(pattern, float(diag[k])) for k, pattern in enumerate(basis.states)]
+    per = [(pattern, float(diag[k])) for k, pattern in enumerate(sub.sector.states)]
     return ProtocolResult(
         n_qubits=n_qubits,
         n_excited=n_excited,

@@ -123,9 +123,9 @@ def test_criterion_3_exact_certification_20_10():
     """The exact F_p rank must certify rank 167960 for the (20, 10) sector in < 5 min.
 
     rank_exact_modp shows that the Gram matrix of the 0/1 inclusion matrix
-    is invertible mod p, through a minimal-polynomial certificate that could
-    fail and is checked on every coordinate; it decides (20, 10) in about a
-    second.
+    is invertible mod p: Wilson's spectrum is checked as a witness on the
+    package's own W, on every coordinate, so the certificate could fail; it
+    decides (20, 10) in well under a second.
     """
     t0 = time.perf_counter()
     try:
@@ -140,7 +140,7 @@ def test_criterion_3_exact_certification_20_10():
         pytest.fail(
             "rank_exact_modp(20, 10) did not finish within its budget: after "
             f"{elapsed:.0f} s the Gram certificate had not decided the rank "
-            f"({exc}).  The certificate takes about 1 s here, so a failure means "
+            f"({exc}).  The certificate takes well under a second here, so a failure means "
             "it has slowed down by orders of magnitude."
         )
 

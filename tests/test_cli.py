@@ -185,6 +185,21 @@ def test_protocol_16_8_runs(capsys):
     assert len(data["per_arrangement"]) == 12870
 
 
+@pytest.mark.parametrize("command,s,d", [("protocol", 1, 24), ("protocol", 0, 1),
+                                         ("montecarlo", 1, 24)])
+def test_protocol_runs_past_the_default_register_cap(capsys, command, s, d):
+    data = run_json(capsys, command, "--n", "25", "--s", str(s))["data"]
+    assert abs(data["d_of_s" if command == "protocol" else "exact_d"] - d) <= 1e-8
+
+
+@pytest.mark.parametrize("command", ["count", "darkbasis", "protocol", "trajectory"])
+def test_more_than_64_qubits_is_a_clean_error(capsys, command):
+    code = main([command, "--n", "65", "--s", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and "64" in captured.err
+
+
 def test_dark_basis_paths_take_no_svd(capsys, monkeypatch):
     import darkcount.darkspace as darkspace
     from darkcount.couplings import DEFAULT_DISORDER, sample_profile

@@ -14,7 +14,7 @@ from darkcount.couplings import (
 )
 from darkcount.darkspace import (
     DEFAULT_TOLERANCE,
-    MERSENNE_61,
+    MERSENNE_31,
     EliminationBudgetExceeded,
     Projector,
     TolerancePolicy,
@@ -443,6 +443,19 @@ def test_rank_reports_its_route():
     assert report == {"route": "gram-certificate", "degree": 3}
 
 
+def test_certificate_checks_the_witness_on_the_shared_w(monkeypatch):
+    import darkcount.darkspace as darkspace
+    from darkcount.operators import inclusion_pattern
+
+    def drop_one_entry(n, s):
+        source, target, indptr, rows, qubit = inclusion_pattern(n, s)
+        return source, target, indptr - (indptr > 7), np.delete(rows, 7), np.delete(qubit, 7)
+
+    monkeypatch.setattr(darkspace, "inclusion_pattern", drop_one_entry)
+    with pytest.raises(ValueError, match="inconclusive"):
+        rank_exact_modp(6, 3)
+
+
 def _inclusion_rank_modp(n, s, prime):
     """Independent oracle: dense Gauss elimination on W over F_prime."""
     rows = list(itertools.combinations(range(n), s - 1))
@@ -492,5 +505,5 @@ def test_rank_argument_validation():
     assert rank_exact_modp(23, 2, max_qubits=23) == 23
 
 
-def test_m61_is_the_documented_prime():
-    assert MERSENNE_61 == 2**61 - 1
+def test_m31_is_the_documented_prime():
+    assert MERSENNE_31 == 2**31 - 1
