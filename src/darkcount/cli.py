@@ -37,7 +37,6 @@ from .couplings import (
 from .darkspace import (
     DEFAULT_TOLERANCE,
     MERSENNE_31,
-    RANK_MODP_MAX_QUBITS,
     EliminationBudgetExceeded,
     dark_subspace,
     projector,
@@ -60,7 +59,7 @@ OUTPUT_DIR_ENV = "DARKCOUNT_OUTPUT_DIR"
 
 ORACLE_CAP = 10  # dense 2^N diagonalization
 NUMERIC_SECTOR_CAP = comb(16, 8)  # dense Gram of the smaller side, 1.05 GB at (16,8)
-EXACT_SECTOR_CAP = comb(RANK_MODP_MAX_QUBITS, RANK_MODP_MAX_QUBITS // 2)  # largest F_p sector
+EXACT_SECTOR_CAP = 705_432  # C(22, 11): about 1 s of certificate, so count stays light
 
 DISORDER_PRESETS = {
     "log3": DisorderSpec(1e-3, 1.0, True, "log-uniform"),
@@ -214,9 +213,6 @@ def cmd_count(args) -> dict:
                 "ran": False,
                 "why": "no lowering block at s=0; nullity 1 by convention",
             }
-        elif n > RANK_MODP_MAX_QUBITS:
-            methods["exact_modp"] = {
-                "ran": False, "why": f"N {n} over the F_p cap of {RANK_MODP_MAX_QUBITS}"}
         elif size <= args.exact_cap:
             how: dict = {}
             rank = rank_exact_modp(n, s, report=how)

@@ -77,8 +77,7 @@ def count_dark_uniform_oracle(
     if 2 * n_excited > n_qubits:
         return 0
     s2 = total_s_squared(n_qubits, max_qubits=max_qubits)
-    sector = enumerate_sector(n_qubits, n_excited)
-    idx = np.array(sector.states, dtype=np.int64)
+    idx = enumerate_sector(n_qubits, n_excited).states
     block = s2[np.ix_(idx, idx)]
     eigvals = np.linalg.eigvalsh(block)
     spin = n_qubits / 2.0 - n_excited

@@ -151,8 +151,7 @@ def _read_couplings(op: SectorOperator) -> tuple[np.ndarray, sp.coo_matrix]:
     coo = op.matrix.tocoo()
     coo.sum_duplicates()
     rows, cols, vals = coo.row, coo.col, coo.data
-    src = np.array(op.source.states, dtype=np.uint64)  # 64 qubits fill every bit
-    tgt = np.array(op.target.states, dtype=np.uint64)
+    src, tgt = op.source.states, op.target.states
     n, s = op.source.n_qubits, op.source.n_excited
     bit = src[cols] ^ tgt[rows]
     if (
@@ -177,8 +176,7 @@ def _read_couplings(op: SectorOperator) -> tuple[np.ndarray, sp.coo_matrix]:
 
 def _gauge(sector: SectorBasis, g: np.ndarray) -> np.ndarray:
     """The gauge products D(x) = prod_{k in x} g_k over a sector."""
-    states = np.array(sector.states, dtype=np.uint64)
-    excited = (states[:, None] >> np.arange(g.size, dtype=np.uint64)) & 1 == 1
+    excited = (sector.states[:, None] >> np.arange(g.size, dtype=np.uint64)) & 1 == 1
     return np.prod(np.where(excited, g, 1.0), axis=1)
 
 
@@ -280,7 +278,7 @@ def _rumer_kernel(n_qubits: int, n_excited: int) -> tuple[np.ndarray, np.ndarray
     step p) and sign +-1 of vector j for choice c of the excited arc ends;
     c = 0 excites every closing end, giving the ballot pattern itself.
     """
-    states = np.array(enumerate_sector(n_qubits, n_excited, n_qubits).states, dtype=np.uint64)
+    states = enumerate_sector(n_qubits, n_excited).states
     down = ((states[:, None] >> np.arange(n_qubits, dtype=np.uint64)) & 1).astype(np.int64)
     height = np.cumsum(1 - 2 * down, axis=1)
     ballot = np.all(height >= 0, axis=1)
@@ -319,12 +317,12 @@ def null_basis(op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERAN
     g, _ = _read_couplings(op)
     n, s = op.source.n_qubits, op.source.n_excited
     how: dict = {}
-    nullity = op.shape[1] - rank_exact_modp(n, s, max_qubits=n, report=how)
+    nullity = op.shape[1] - rank_exact_modp(n, s, report=how)
     patterns, signs = _rumer_kernel(n, s)
     if patterns.shape[0] != nullity:
         raise ValueError(f"{patterns.shape[0]} Rumer vectors for the exact nullity {nullity}")
     path = np.argsort(-np.abs(g), kind="stable").astype(np.uint64)  # qubit at each step
-    rows = np.searchsorted(np.array(op.source.states, dtype=np.uint64),
+    rows = np.searchsorted(op.source.states,
                            sum(((patterns >> p) & 1) << path[p] for p in range(n)))
     d_s = _gauge(op.source, g)
     k = np.zeros((nullity, op.shape[1]))
@@ -354,7 +352,7 @@ def dark_subspace(
     the subspace is defined as that single state.
     """
     if n_excited == 0:
-        return DarkSubspace(enumerate_sector(n_qubits, 0, max_qubits=n_qubits), np.ones((1, 1)),
+        return DarkSubspace(enumerate_sector(n_qubits, 0), np.ones((1, 1)),
                             np.ones(1, dtype=np.complex128), "convention", None)
     return null_basis(build_lowering_block(n_qubits, n_excited, profile), tol_policy)
 
@@ -390,7 +388,7 @@ def verify_dark(
     scales with the Frobenius norm of the block unless the policy fixes an
     absolute cutoff.
     """
-    if state.basis.states != op.source.states:
+    if state.basis != op.source:
         raise ValueError("state does not live in the operator's source sector")
 
     tol = _dark_tolerance(op, tol_policy)
@@ -404,8 +402,6 @@ def verify_dark(
 
 MERSENNE_31 = (1 << 31) - 1  # 2147483647, the Mersenne prime 2^31 - 1
 
-RANK_MODP_MAX_QUBITS = 22
-
 
 class EliminationBudgetExceeded(RuntimeError):
     """Raised when the exact rank certificate passes its wall-clock budget."""
@@ -416,7 +412,6 @@ def rank_exact_modp(
     n_excited: int,
     prime: int = MERSENNE_31,
     time_budget_s: float | None = None,
-    max_qubits: int = RANK_MODP_MAX_QUBITS,
     report: dict | None = None,
 ) -> int:
     """Exact rank of the lowering block over F_prime, by a certificate that can fail.
@@ -438,13 +433,13 @@ def rank_exact_modp(
 
     A prime up to s(N-s+1) can divide a lambda_i (prime 3 at (6, 3)); the
     certificate is then inconclusive and the call raises ValueError.
-    ``MERSENNE_31`` certifies every N <= 22.  ``time_budget_s`` bounds the
+    ``MERSENNE_31`` certifies every sector: for N <= 64 each lambda_i is at
+    most s(N-s+1) <= 1056 < 2^31 - 1, and every intermediate stays below
+    (N + 1057) prime < 2^42.  ``time_budget_s`` bounds the
     wall-clock time (:class:`EliminationBudgetExceeded`).  A ``report``
     dict, if given, receives ``route`` ("gram-certificate") and ``degree``
     (k, the degree of q).
     """
-    if n_qubits > max_qubits:
-        raise ValueError(f"n_qubits={n_qubits} exceeds the cap of {max_qubits}")
     if n_excited < 1 or n_excited > n_qubits:
         raise ValueError("n_excited must lie in [1, n_qubits] for a lowering block")
     if prime.bit_length() > 31 or prime < 3 or prime % 2 == 0:

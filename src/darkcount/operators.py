@@ -8,7 +8,6 @@ vectors with the cavity empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,25 +16,6 @@ from .couplings import CouplingProfile
 from .sector import SectorBasis, enumerate_sector
 
 S_SQUARED_MAX_QUBITS = 10
-OPERATOR_SECTOR_CAP = 3_000_000
-
-
-def _sector_for_operator(n_qubits: int, n_excited: int):
-    """Enumerate a sector for matrix building, capped by size rather than register width.
-
-    Single-excitation work at large N (sector size N) is cheap even though N
-    exceeds the default register cap; what desk-scale memory cannot hold is a
-    large binomial, so that is what gets bounded here.  Patterns are held as
-    uint64, so the register is capped at 64 qubits.
-    """
-    if n_qubits > 64:
-        raise ValueError(f"n_qubits={n_qubits} exceeds the 64 qubits of a uint64 pattern")
-    if comb(n_qubits, n_excited) > OPERATOR_SECTOR_CAP:
-        raise ValueError(
-            f"sector ({n_qubits}, {n_excited}) has {comb(n_qubits, n_excited)} states, "
-            f"over the operator cap of {OPERATOR_SECTOR_CAP}"
-        )
-    return enumerate_sector(n_qubits, n_excited, max_qubits=max(n_qubits, 24))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +68,7 @@ class PureState:
         return PureState(self.basis, self.amplitudes / n)
 
     def overlap(self, other: "PureState") -> complex:
-        if other.basis.states != self.basis.states:
+        if other.basis != self.basis:
             raise ValueError("overlap requires states in the same sector")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
@@ -105,7 +85,7 @@ class TotalSz:
     def diagonal(self, basis: SectorBasis) -> np.ndarray:
         if basis.n_qubits != self.n_qubits:
             raise ValueError("basis belongs to a different register size")
-        return np.array([self.eigenvalue(m) for m in basis.states], dtype=np.float64)
+        return np.full(basis.size, basis.n_excited - self.n_qubits / 2.0)
 
 
 def total_sz(n_qubits: int) -> TotalSz:
@@ -126,10 +106,9 @@ def inclusion_pattern(
     k lowers.  The arrays are built per bit, so nothing of size C(N, s) x N
     is formed.
     """
-    source = _sector_for_operator(n_qubits, n_excited)
-    target = _sector_for_operator(n_qubits, n_excited - 1)
-    src = np.array(source.states, dtype=np.uint64)  # 64 qubits fill every bit
-    tgt = np.array(target.states, dtype=np.uint64)
+    source = enumerate_sector(n_qubits, n_excited)
+    target = enumerate_sector(n_qubits, n_excited - 1)
+    src, tgt = source.states, target.states
     rows = np.empty((src.size, n_excited), dtype=np.int32)  # the cap keeps rows below 2^31
     qubit = np.empty((src.size, n_excited), dtype=np.int8)
     rest = src.copy()
@@ -176,7 +155,7 @@ def single_excitation_dark_states(profile: CouplingProfile) -> list[PureState]:
     n = profile.n_qubits
     if n < 2:
         raise ValueError("no single-excitation dark states exist for fewer than 2 qubits")
-    basis = _sector_for_operator(n, 1)
+    basis = enumerate_sector(n, 1)
     g = profile.as_array()
     g_last = g[n - 1]
     states = []

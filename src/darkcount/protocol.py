@@ -69,7 +69,7 @@ def null_emission_probability(init: int | PureState, proj: Projector) -> float:
     gives the full expectation value <psi|P|psi> = sum_j |<d_j|psi>|^2.
     """
     if isinstance(init, PureState):
-        if init.basis.states != proj.sector.states:
+        if init.basis != proj.sector:
             raise ValueError("state and projector belong to different sectors")
         overlaps = proj.real_basis @ (proj.phases.conj() * init.normalized().amplitudes)
         return float(np.vdot(overlaps, overlaps).real)
@@ -96,7 +96,7 @@ def measure_d(
         raise ValueError(f"profile has {profile.n_qubits} couplings for {n_qubits} qubits")
     sub = dark_subspace(n_qubits, n_excited, profile, tol_policy)
     diag = projector(sub).diagonal()
-    per = [(pattern, float(diag[k])) for k, pattern in enumerate(sub.sector.states)]
+    per = list(zip(sub.sector.states.tolist(), diag.tolist()))
     return ProtocolResult(
         n_qubits=n_qubits,
         n_excited=n_excited,

@@ -1,77 +1,86 @@
-"""Fixed-excitation sectors of an N-qubit register, encoded as bitmasks.
+"""Fixed-excitation sectors of an N-qubit register, as read-only uint64 arrays.
 
 A basis state is an integer whose bit j (0-based) is set iff qubit j+1 is
 excited.  The s-sector holds every N-bit pattern with exactly s set bits,
 ordered by unsigned integer value.  That order is canonical everywhere in
 this package: matrices, projectors and protocol outputs all index into it.
+It is also colexicographic order on the excited positions, so the sector
+splits on its top qubit (Knuth, TAOCP 7.2.1.3):
+
+    sector(N, s) = sector(N-1, s) ++ (sector(N-1, s-1) | 2^(N-1)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from math import comb
 
-MAX_QUBITS_DEFAULT = 24
+import numpy as np
+
+# The one cap on a sector, in states.  The sector itself takes 8 bytes a
+# state; the exact rank certificate, its largest user, peaks near 200 bytes
+# a state of its source sector (530 MB above the interpreter at (24, 12)),
+# so about 0.6 GB at the cap.
+SECTOR_CAP = 3_000_000
 
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """Ordered basis of the sector with ``n_excited`` of ``n_qubits`` qubits excited."""
+    """Ordered basis of the sector with ``n_excited`` of ``n_qubits`` qubits excited.
+
+    ``states`` is a read-only uint64 array; sectors compare and hash by
+    ``(n_qubits, n_excited)`` alone, which fix the states.
+    """
 
     n_qubits: int
     n_excited: int
-    states: tuple[int, ...]
+    states: np.ndarray = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        states = np.asarray(self.states, dtype=np.uint64).view()
+        states.flags.writeable = False
+        object.__setattr__(self, "states", states)
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return self.states.size
 
     def bitstring(self, state: int) -> str:
         """Render a pattern as a binary numeral (qubit 1 = rightmost character)."""
-        return format(state, f"0{self.n_qubits}b")
+        return format(operator.index(state), f"0{self.n_qubits}b")
 
 
-def _check_sector_args(n_qubits: int, n_excited: int, max_qubits: int) -> None:
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    if n_qubits > max_qubits:
-        raise ValueError(
-            f"n_qubits={n_qubits} exceeds the cap of {max_qubits}; "
-            "pass max_qubits explicitly to override"
-        )
-    if not 0 <= n_excited <= n_qubits:
-        raise ValueError(f"n_excited must lie in [0, {n_qubits}], got {n_excited}")
-
-
-def enumerate_sector(
-    n_qubits: int, n_excited: int, max_qubits: int = MAX_QUBITS_DEFAULT
-) -> SectorBasis:
+def enumerate_sector(n_qubits: int, n_excited: int) -> SectorBasis:
     """Enumerate the s-sector in canonical (ascending integer) order.
 
-    Uses Gosper's hack to walk the patterns in increasing order directly,
-    so the result is deterministic across runs and platforms.
+    Builds the colex recursion one qubit at a time, keeping only the
+    sectors (n, k) that still reach (N, s).  A pattern is one uint64, so
+    N is at most 64, and the sector may hold at most ``SECTOR_CAP`` states.
     """
-    _check_sector_args(n_qubits, n_excited, max_qubits)
-    if n_excited == 0:
-        return SectorBasis(n_qubits, 0, (0,))
-    states = []
-    m = (1 << n_excited) - 1
-    limit = 1 << n_qubits
-    while m < limit:
-        states.append(m)
-        c = m & -m
-        r = m + c
-        m = (((r ^ m) >> 2) // c) | r
-    return SectorBasis(n_qubits, n_excited, tuple(states))
+    if not 1 <= n_qubits <= 64:
+        raise ValueError(f"n_qubits must lie in [1, 64] for a uint64 pattern, got {n_qubits}")
+    if not 0 <= n_excited <= n_qubits:
+        raise ValueError(f"n_excited must lie in [0, {n_qubits}], got {n_excited}")
+    if comb(n_qubits, n_excited) > SECTOR_CAP:
+        raise ValueError(f"sector ({n_qubits}, {n_excited}) has {comb(n_qubits, n_excited)} "
+                         f"states, over the sector cap of {SECTOR_CAP}")
+    empty = np.zeros(0, dtype=np.uint64)
+    level = {0: np.zeros(1, dtype=np.uint64)}  # sector(0, 0)
+    for n in range(1, n_qubits + 1):
+        top = np.uint64(1 << (n - 1))
+        level = {k: np.concatenate([level.get(k, empty), level.get(k - 1, empty) | top])
+                 for k in range(max(0, n_excited - n_qubits + n), min(n, n_excited) + 1)}
+    return SectorBasis(n_qubits, n_excited, level[n_excited])
 
 
 def state_index(basis: SectorBasis, state: int) -> int:
-    """Position of ``state`` in ``basis.states`` via colexicographic ranking, O(N).
+    """Position of ``state`` in ``basis.states``, by bisection of the sorted array.
 
-    The canonical order (patterns as ascending integers) is colexicographic
-    in the set of excited-bit positions, so the rank is the standard
-    combinatorial sum of binomials over those positions.
+    Accepts any integer, numpy ones included; raises ValueError for a pattern
+    outside the register or with the wrong number of excited qubits.
     """
+    state = operator.index(state)
     if state < 0 or state >> basis.n_qubits:
         raise ValueError(
             f"state {state:#x} has bits outside the {basis.n_qubits}-qubit register"
@@ -81,23 +90,13 @@ def state_index(basis: SectorBasis, state: int) -> int:
             f"state {basis.bitstring(state)} has {state.bit_count()} excited qubits, "
             f"expected {basis.n_excited}"
         )
-    idx = 0
-    i = 0
-    m = state
-    while m:
-        b = m & -m
-        i += 1
-        idx += comb(b.bit_length() - 1, i)
-        m ^= b
-    return idx
+    return int(np.searchsorted(basis.states, np.uint64(state)))
 
 
-def arrangements(
-    n_qubits: int, n_excited: int, max_qubits: int = MAX_QUBITS_DEFAULT
-) -> list[int]:
+def arrangements(n_qubits: int, n_excited: int) -> list[int]:
     """All rearrangements of s excited qubits over N sites.
 
     These coincide with the sector basis states, in the same canonical order;
     the protocol iterates over exactly this list.
     """
-    return list(enumerate_sector(n_qubits, n_excited, max_qubits).states)
+    return enumerate_sector(n_qubits, n_excited).states.tolist()

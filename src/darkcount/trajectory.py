@@ -154,7 +154,7 @@ def _no_jump_norm_curve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarra
         patterns, amps = initial.basis.states, initial.normalized().amplitudes
     else:
         patterns, amps = [int(initial)], 1.0
-    sector = lower[0].source if lower else enumerate_sector(n, 0, max_qubits=n)
+    sector = lower[0].source if lower else enumerate_sector(n, 0)
     psi = np.zeros(sum(sizes), dtype=np.complex128)
     psi[[state_index(sector, m) for m in patterns]] = amps  # checks register and popcount
 

@@ -500,9 +500,8 @@ def test_rank_budget_raises():
 def test_rank_argument_validation():
     with pytest.raises(ValueError):
         rank_exact_modp(4, 0)
-    with pytest.raises(ValueError):
-        rank_exact_modp(23, 2)
-    assert rank_exact_modp(23, 2, max_qubits=23) == 23
+    assert rank_exact_modp(40, 3) == comb(40, 2)
+    assert rank_exact_modp(64, 2) == 64
 
 
 def test_m31_is_the_documented_prime():

@@ -53,6 +53,10 @@ def test_probability_rejects_sector_mismatch():
     state = PureState(enumerate_sector(4, 1), np.ones(4) / 2.0)
     with pytest.raises(ValueError):
         null_emission_probability(state, proj)
+    proj41 = projector(dark_subspace(4, 1, uniform_profile(4, 1.0)))
+    same_size = PureState(enumerate_sector(4, 3), np.ones(4) / 2.0)  # C(4, 3) = C(4, 1)
+    with pytest.raises(ValueError):
+        null_emission_probability(same_size, proj41)
 
 
 def test_measure_d_examples():

@@ -1,5 +1,7 @@
+from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from darkcount.sector import arrangements, enumerate_sector, state_index
@@ -7,13 +9,33 @@ from darkcount.sector import arrangements, enumerate_sector, state_index
 
 def test_two_qubit_single_excitation():
     basis = enumerate_sector(2, 1)
-    assert basis.states == (0b01, 0b10)
+    assert basis.states.tolist() == [0b01, 0b10]
     assert basis.size == 2
 
 
 def test_sector_sizes_are_binomials():
     assert enumerate_sector(4, 2).size == 6
-    assert enumerate_sector(4, 0).states == (0,)
+    assert enumerate_sector(4, 0).states.tolist() == [0]
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 63, 64])
+def test_sector_matches_combinations_oracle(n):
+    for s in sorted({s for s in (0, 1, 2, n - 1, n) if 0 <= s <= n}):
+        want = sorted(sum(1 << q for q in c) for c in combinations(range(n), s))
+        assert enumerate_sector(n, s).states.tolist() == want
+
+
+def test_states_are_a_read_only_uint64_array():
+    basis = enumerate_sector(5, 2)
+    assert basis.states.dtype == np.uint64
+    with pytest.raises(ValueError):
+        basis.states[0] = 0
+
+
+def test_sectors_compare_by_register_and_excitation():
+    assert enumerate_sector(4, 2) == enumerate_sector(4, 2)
+    assert hash(enumerate_sector(4, 2)) == hash(enumerate_sector(4, 2))
+    assert enumerate_sector(4, 2) != enumerate_sector(4, 1)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -32,6 +54,8 @@ def test_state_index_examples():
     basis = enumerate_sector(2, 1)
     assert state_index(basis, 0b01) == 0
     assert state_index(basis, 0b10) == 1
+    assert state_index(basis, np.uint64(0b10)) == 1
+    assert state_index(basis, np.int64(0b10)) == 1
     basis42 = enumerate_sector(4, 2)
     assert state_index(basis42, basis42.states[-1]) == comb(4, 2) - 1
 
@@ -64,10 +88,12 @@ def test_argument_validation():
         enumerate_sector(4, 5)
     with pytest.raises(ValueError):
         enumerate_sector(4, -1)
-    with pytest.raises(ValueError, match="cap"):
-        enumerate_sector(25, 1)
-    # the cap is a default, not a hard limit
-    assert enumerate_sector(26, 1, max_qubits=26).size == 26
+    with pytest.raises(ValueError, match="sector cap"):
+        enumerate_sector(26, 13)
+    with pytest.raises(ValueError, match="64"):
+        enumerate_sector(65, 1)
+    # the cap is on the sector size, not the register width
+    assert enumerate_sector(26, 1).size == 26
 
 
 def test_bitstring_rendering():
