@@ -44,7 +44,7 @@ from .darkspace import (
     rank_numeric,
     verify_dark,
 )
-from .operators import HamiltonianModel, PureState, build_lowering_block
+from .operators import S_SQUARED_MAX_QUBITS, HamiltonianModel, PureState, build_lowering_block
 from .protocol import (
     BASIS_BYTES_CAP,
     dark_basis_bytes,
@@ -57,7 +57,6 @@ from .trajectory import no_click_vs_kappa, run_trajectories, standard_config
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "DARKCOUNT_OUTPUT_DIR"
 
-ORACLE_CAP = 10  # dense 2^N diagonalization
 NUMERIC_SECTOR_CAP = comb(16, 8)  # dense Gram of the smaller side, 1.05 GB at (16,8)
 EXACT_SECTOR_CAP = 705_432  # C(22, 11): about 1 s of certificate, so count stays light
 
@@ -203,7 +202,7 @@ def cmd_count(args) -> dict:
         else:
             methods["numeric"] = {"ran": False, "why": f"sector size {size} over cap"}
 
-        if n <= ORACLE_CAP:
+        if n <= S_SQUARED_MAX_QUBITS:
             methods["oracle"] = {"ran": True, "value": count_dark_uniform_oracle(n, s)}
         else:
             methods["oracle"] = {"ran": False, "why": f"N {n} over dense cap"}
@@ -213,12 +212,13 @@ def cmd_count(args) -> dict:
                 "ran": False,
                 "why": "no lowering block at s=0; nullity 1 by convention",
             }
-        elif size <= args.exact_cap:
+        elif max(size, comb(n, s - 1)) <= args.exact_cap:
+            # the certificate builds both the s and s-1 sectors; gate on the larger
             how: dict = {}
             rank = rank_exact_modp(n, s, report=how)
             methods["exact_modp"] = {"ran": True, "rank": rank, "value": size - rank, **how}
         else:
-            methods["exact_modp"] = {"ran": False, "why": f"sector size {size} over cap"}
+            methods["exact_modp"] = {"ran": False, "why": "s or s-1 sector size over cap"}
 
         got = [m["value"] for m in methods.values() if m.get("ran")]
         agree = all(v == formula for v in got)

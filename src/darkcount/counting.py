@@ -18,8 +18,6 @@ import numpy as np
 from .operators import total_s_squared
 from .sector import enumerate_sector
 
-ORACLE_MAX_QUBITS = 10
-
 
 def ndark_formula(n_qubits: int, n_excited: int) -> int:
     """Number of dark states with s of N qubits excited.
@@ -60,23 +58,20 @@ def thermodynamic_order(alpha: float) -> float:
     return (1.0 - 2.0 * alpha) / (1.0 - alpha)
 
 
-def count_dark_uniform_oracle(
-    n_qubits: int, n_excited: int, max_qubits: int = ORACLE_MAX_QUBITS
-) -> int:
+def count_dark_uniform_oracle(n_qubits: int, n_excited: int) -> int:
     """Count dark states by total-spin diagonalization in the uniform limit.
 
     Restricts S_tot.S_tot to the s-sector and counts eigenvalues S(S+1) with
     S = N/2 - s, i.e. states whose magnetization sits at its minimum -S.
     Above half filling that S would be negative, so the count is zero.
-    Independent of the counting formula; used to cross-check it.
+    Independent of the counting formula; used to cross-check it.  Below half
+    filling, ``total_s_squared`` caps the register.
     """
-    if n_qubits > max_qubits:
-        raise ValueError(f"n_qubits={n_qubits} exceeds the oracle cap of {max_qubits}")
     if not 0 <= n_excited <= n_qubits:
         raise ValueError(f"n_excited must lie in [0, {n_qubits}], got {n_excited}")
     if 2 * n_excited > n_qubits:
         return 0
-    s2 = total_s_squared(n_qubits, max_qubits=max_qubits)
+    s2 = total_s_squared(n_qubits)
     idx = enumerate_sector(n_qubits, n_excited).states
     block = s2[np.ix_(idx, idx)]
     eigvals = np.linalg.eigvalsh(block)

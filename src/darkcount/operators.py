@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from .couplings import CouplingProfile
 from .sector import SectorBasis, enumerate_sector
 
-S_SQUARED_MAX_QUBITS = 10
+S_SQUARED_MAX_QUBITS = 10  # dense 2^N diagonalization
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +169,7 @@ def single_excitation_dark_states(profile: CouplingProfile) -> list[PureState]:
     return states
 
 
-def total_s_squared(n_qubits: int, max_qubits: int = S_SQUARED_MAX_QUBITS) -> np.ndarray:
+def total_s_squared(n_qubits: int) -> np.ndarray:
     """Dense S_tot . S_tot over the full 2^N product basis.
 
     Built as Sz^2 + (S+ S- + S- S+)/2 from the collective ladder operators;
@@ -178,10 +178,8 @@ def total_s_squared(n_qubits: int, max_qubits: int = S_SQUARED_MAX_QUBITS) -> np
     """
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    if n_qubits > max_qubits:
-        raise ValueError(
-            f"n_qubits={n_qubits} exceeds the dense cap of {max_qubits}"
-        )
+    if n_qubits > S_SQUARED_MAX_QUBITS:
+        raise ValueError(f"n_qubits={n_qubits} exceeds the dense cap of {S_SQUARED_MAX_QUBITS}")
     dim = 1 << n_qubits
     sz = np.zeros(dim)
     for m in range(dim):

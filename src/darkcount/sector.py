@@ -30,7 +30,8 @@ class SectorBasis:
     """Ordered basis of the sector with ``n_excited`` of ``n_qubits`` qubits excited.
 
     ``states`` is a read-only uint64 array; sectors compare and hash by
-    ``(n_qubits, n_excited)`` alone, which fix the states.
+    ``(n_qubits, n_excited)``, which fix the states of every basis that
+    ``enumerate_sector`` builds (a hand-built one is checked only for size).
     """
 
     n_qubits: int
@@ -39,6 +40,9 @@ class SectorBasis:
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=np.uint64).view()
+        if states.shape != (comb(self.n_qubits, self.n_excited),):
+            raise ValueError(f"sector ({self.n_qubits}, {self.n_excited}) needs "
+                             f"{comb(self.n_qubits, self.n_excited)} states, got {states.size}")
         states.flags.writeable = False
         object.__setattr__(self, "states", states)
 
@@ -90,7 +94,10 @@ def state_index(basis: SectorBasis, state: int) -> int:
             f"state {basis.bitstring(state)} has {state.bit_count()} excited qubits, "
             f"expected {basis.n_excited}"
         )
-    return int(np.searchsorted(basis.states, np.uint64(state)))
+    idx = int(np.searchsorted(basis.states, np.uint64(state)))
+    if idx == basis.size or basis.states[idx] != state:
+        raise ValueError(f"state {basis.bitstring(state)} is not in the basis")
+    return idx
 
 
 def arrangements(n_qubits: int, n_excited: int) -> list[int]:

@@ -57,6 +57,15 @@ def test_count_past_22_qubits_runs_the_exact_route(capsys, n, s):
     assert payload["data"]["all_agree"]
 
 
+@pytest.mark.parametrize("n,s", [(40, 35), (64, 60)])
+def test_count_skips_the_exact_route_when_the_s_minus_1_sector_is_over_cap(capsys, n, s):
+    # the s sector is under --exact-cap, but the certificate also builds the s-1 one
+    payload = run_json(capsys, "count", "--n", str(n), "--s", str(s))
+    result = payload["data"]["results"][0]
+    assert not result["methods"]["exact_modp"]["ran"]
+    assert payload["data"]["all_agree"]
+
+
 def test_count_all_s(capsys):
     payload = run_json(capsys, "count", "--n", "5", "--all-s")
     assert [r["formula"] for r in payload["data"]["results"]] == [1, 4, 5, 0, 0, 0]

@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from darkcount.sector import arrangements, enumerate_sector, state_index
+from darkcount.sector import SectorBasis, arrangements, enumerate_sector, state_index
 
 
 def test_two_qubit_single_excitation():
@@ -73,6 +73,15 @@ def test_state_index_rejects_wrong_popcount():
         state_index(basis, 0b0111)
     with pytest.raises(ValueError, match="outside"):
         state_index(basis, 0b110000)
+
+
+def test_hand_built_basis_is_checked():
+    with pytest.raises(ValueError, match="needs 2 states"):
+        SectorBasis(2, 1, (0b01,))
+    # right size, wrong states: state_index finds no match rather than a position
+    basis = SectorBasis(3, 1, (0b001, 0b010, 0b010))
+    with pytest.raises(ValueError, match="not in the basis"):
+        state_index(basis, 0b100)
 
 
 def test_arrangements_match_basis():
