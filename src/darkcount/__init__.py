@@ -26,11 +26,9 @@ from .couplings import (
 from .darkspace import (
     DEFAULT_TOLERANCE,
     DarkSubspace,
-    Projector,
     TolerancePolicy,
     dark_subspace,
     null_basis,
-    nullity_numeric,
     projector,
     rank_exact_modp,
     rank_numeric,
@@ -53,7 +51,7 @@ from .protocol import (
     monte_carlo_protocol,
     null_emission_probability,
 )
-from .sector import SectorBasis, arrangements, enumerate_sector, state_index
+from .sector import SectorBasis, enumerate_sector, state_index
 from .trajectory import (
     ClickStatistics,
     TrajectoryConfig,

@@ -37,7 +37,6 @@ from .couplings import (
 from .darkspace import (
     DEFAULT_TOLERANCE,
     MERSENNE_31,
-    EliminationBudgetExceeded,
     dark_subspace,
     projector,
     rank_exact_modp,
@@ -124,23 +123,18 @@ def _margins(report: dict) -> dict:
 
 
 def _profile_from_args(args, n_qubits: int) -> CouplingProfile:
-    """Build the coupling profile from CLI flags (uniform, preset, or custom)."""
-    if getattr(args, "profile_json", None):
+    """Build the coupling profile from the flags of ``_add_profile_flags``."""
+    if args.profile_json:
         return profile_from_json(Path(args.profile_json).read_text())
-    if getattr(args, "uniform", None) is not None:
+    if args.uniform is not None:
         return uniform_profile(n_qubits, args.uniform)
-    spec = DISORDER_PRESETS[getattr(args, "disorder", "log3")]
-    g_min = getattr(args, "g_min", None)
-    g_max = getattr(args, "g_max", None)
-    dist = getattr(args, "dist", None)
-    if g_min is not None or g_max is not None or dist is not None or getattr(
-        args, "no_phases", False
-    ):
+    spec = DISORDER_PRESETS[args.disorder]
+    if args.g_min is not None or args.g_max is not None or args.dist is not None or args.no_phases:
         spec = DisorderSpec(
-            magnitude_low=g_min if g_min is not None else spec.magnitude_low,
-            magnitude_high=g_max if g_max is not None else spec.magnitude_high,
-            phase_random=not getattr(args, "no_phases", False),
-            distribution=dist if dist is not None else spec.distribution,
+            magnitude_low=spec.magnitude_low if args.g_min is None else args.g_min,
+            magnitude_high=spec.magnitude_high if args.g_max is None else args.g_max,
+            phase_random=not args.no_phases,
+            distribution=spec.distribution if args.dist is None else args.dist,
         )
     return sample_profile(n_qubits, spec, args.seed)
 
@@ -156,7 +150,7 @@ def _add_profile_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--uniform", type=float, default=None, metavar="G",
                      help="uniform coupling strength instead of disorder")
     sub.add_argument("--disorder", choices=sorted(DISORDER_PRESETS), default="log3",
-                     help="disorder preset (default log3: 3 decades, random phases)")
+                     help="disorder preset (default %(default)s; log3: 3 decades, random phases)")
     sub.add_argument("--g-min", type=float, default=None, help="override magnitude low")
     sub.add_argument("--g-max", type=float, default=None, help="override magnitude high")
     sub.add_argument("--dist", choices=["log-uniform", "uniform"], default=None,
@@ -186,7 +180,6 @@ def cmd_count(args) -> dict:
         raise ValueError("pass --s or --all-s")
     profile = _profile_from_args(args, n)
     results = []
-    all_agree = True
     for s in s_values:
         formula = ndark_formula(n, s)
         methods: dict[str, dict] = {}
@@ -221,18 +214,19 @@ def cmd_count(args) -> dict:
             methods["exact_modp"] = {"ran": False, "why": "s or s-1 sector size over cap"}
 
         got = [m["value"] for m in methods.values() if m.get("ran")]
-        agree = all(v == formula for v in got)
-        all_agree = all_agree and agree
+        agree = all(v == formula for v in got) if got else None  # None: nothing checked it
         results.append(
             {"s": s, "formula": formula, "sector_size": size, "methods": methods,
              "agree": agree}
         )
+    verdicts = {r["agree"] for r in results}
+    all_agree = False if False in verdicts else None if None in verdicts else True
     record = {"n": n, "results": results, "all_agree": all_agree}
-    if not all_agree:
+    if all_agree is False:
         disagreements = [
             f"s={r['s']}: formula {r['formula']}, " + ", ".join(
                 f"{name} {m['value']}" for name, m in r["methods"].items() if m["ran"])
-            for r in results if not r["agree"]
+            for r in results if r["agree"] is False
         ]
         raise ConsistencyError(
             "counting methods disagree with the closed form: " + "; ".join(disagreements), record)
@@ -247,7 +241,7 @@ def cmd_rank(args) -> dict:
     records = []
     if args.method in ("modp", "both"):
         how: dict = {}
-        rank = rank_exact_modp(n, s, time_budget_s=args.budget, report=how)
+        rank = rank_exact_modp(n, s, report=how)
         records.append(
             {"N": n, "s": s, "method": f"modp({MERSENNE_31})", "rank": rank,
              "nullity": size - rank, "tolerance": None, **how}
@@ -279,8 +273,7 @@ def cmd_darkbasis(args) -> dict:
                          f"over BASIS_BYTES_CAP of {BASIS_BYTES_CAP >> 20} MiB")
     profile = _profile_from_args(args, n)
     sub = dark_subspace(n, s, profile)
-    proj = projector(sub)
-    p = proj.matrix
+    p = projector(sub)
     herm = float(np.abs(p - p.conj().T).max()) if p.size else 0.0
     idem = float(np.abs(p @ p - p).max()) if p.size else 0.0
     trace = float(np.real(np.trace(p)))
@@ -299,7 +292,7 @@ def cmd_darkbasis(args) -> dict:
         "nullity_route": sub.nullity_route, **_margins({"qr_margin": sub.qr_margin}),
         "checks": checks, "profile": _profile_config(profile),
         "basis": [[[a.real, a.imag] for a in v] for v in sub.basis],
-        "projector_diagonal": [float(x) for x in proj.diagonal()],
+        "projector_diagonal": [float(x) for x in sub.diagonal()],
     }
     if not (checks["trace_matches_nullity"] and herm <= 1e-12 and idem <= 1e-10
             and checks.get("all_basis_states_verified_dark", True)):
@@ -384,12 +377,6 @@ def cmd_sweep(args) -> dict | str:
 
 def cmd_trajectory(args) -> dict:
     n, s = args.n, args.s
-    if args.uniform is None and args.profile_json is None and args.disorder == "log3":
-        # a lone bright mode at g_min decays at 4 g_min^2 / kappa, so at the
-        # default kappa = 100 g_max the horizon 50 / g_min drains it only by
-        # exp(-2 g_min / g_max): exp(-0.002) under three decades of disorder.
-        # Steer the CLI default to the narrow preset instead.
-        args.disorder = "narrow"
     profile = _profile_from_args(args, n)
     initial = int(args.initial, 2) if args.initial else (1 << s) - 1
     if initial.bit_count() != s:
@@ -413,8 +400,7 @@ def cmd_trajectory(args) -> dict:
 
     expectation = None
     if dark_basis_bytes(n, s) <= BASIS_BYTES_CAP:
-        proj = projector(dark_subspace(n, s, profile))
-        expectation = null_emission_probability(initial, proj)
+        expectation = null_emission_probability(initial, dark_subspace(n, s, profile))
         data["projector_expectation"] = expectation
 
     def stats_block(st):
@@ -506,8 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--method", choices=["modp", "numeric", "both"], default="modp")
-    p.add_argument("--budget", type=float, default=None,
-                   help="wall-clock budget in seconds for the exact rank certificate")
     _add_profile_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_rank, format="json")
@@ -559,7 +543,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="csv emits the first-click-time histogram")
     _add_profile_flags(p)
     _add_common_flags(p)
-    p.set_defaults(func=cmd_trajectory)
+    # a lone bright mode at g_min decays at 4 g_min^2 / kappa, so at the default
+    # kappa = 100 g_max the horizon 50 / g_min drains it only by exp(-2 g_min / g_max):
+    # exp(-0.002) under log3's three decades.  So trajectories default to narrow.
+    p.set_defaults(func=cmd_trajectory, disorder="narrow")
 
     return parser
 
@@ -610,7 +597,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"consistency check failed: {exc}", file=sys.stderr)
         _emit(_dump_json(_payload(args.command, config_echo, exc.record)), args.output)
         return 2
-    except (ValueError, EliminationBudgetExceeded) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,7 +28,6 @@ orthonormal, does.  Two independent routes give the same integers:
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,16 +42,13 @@ __all__ = [
     "TolerancePolicy",
     "DEFAULT_TOLERANCE",
     "DarkSubspace",
-    "Projector",
     "DarkCheck",
-    "nullity_numeric",
     "rank_numeric",
     "null_basis",
     "dark_subspace",
     "projector",
     "verify_dark",
     "MERSENNE_31",
-    "EliminationBudgetExceeded",
     "rank_exact_modp",
 ]
 
@@ -94,9 +90,13 @@ class DarkSubspace:
 
     The gauge makes the basis real up to one unit phase per arrangement: the
     dark vectors are the rows of ``basis`` (nullity x dim), formed on read
-    as ``real_basis * phases``.  ``nullity_route`` names how the nullity was
-    obtained (the :func:`rank_exact_modp` route, or "convention" at s = 0)
-    and ``qr_margin`` is the smallest |R_jj| of the QR over its cutoff.
+    as ``real_basis * phases``.  The dark projector is
+    P = diag(phases) Q^T Q diag(phases)^* for the real rows Q, and its
+    diagonal, the null-emission probability of each arrangement, is the
+    squared column norms of Q: O(nullity dim), with no dim x dim matrix.
+    ``nullity_route`` names how the nullity was obtained (the
+    :func:`rank_exact_modp` route, or "convention" at s = 0) and
+    ``qr_margin`` is the smallest |R_jj| of the QR over its cutoff.
     """
 
     sector: SectorBasis
@@ -113,32 +113,9 @@ class DarkSubspace:
     def basis(self) -> np.ndarray:
         return self.real_basis * self.phases
 
-
-@dataclass(frozen=True, eq=False)
-class Projector:
-    """Dark projector P = sum_j |d_j><d_j|, held as its dark basis d_j = phases * q_j.
-
-    ``real_basis`` holds the real orthonormal rows q_j (nullity x dim), so
-    P = diag(phases) Q^T Q diag(phases)^*.  Its diagonal, the null-emission
-    probability of each arrangement, is the squared column norms of the real
-    rows and costs O(nullity dim).  The dense dim x dim ``matrix`` is one
-    real GEMM, formed only when something reads it.
-    """
-
-    sector: SectorBasis
-    real_basis: np.ndarray
-    phases: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.real_basis.shape[0]
-
     def diagonal(self) -> np.ndarray:
+        """The projector's diagonal: the squared column norms of the real rows."""
         return np.einsum("ji,ji->i", self.real_basis, self.real_basis)
-
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        return (self.real_basis.T @ self.real_basis) * np.outer(self.phases, self.phases.conj())
 
 
 def _read_couplings(op: SectorOperator) -> tuple[np.ndarray, sp.coo_matrix]:
@@ -199,12 +176,12 @@ def _smallest_eigenvalue(factor: np.ndarray) -> float:
     return 1.0 / mu
 
 
-def nullity_numeric(
+def rank_numeric(
     op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERANCE, report: dict | None = None
 ) -> int:
-    """Count singular values of the gauge-equilibrated block below the policy cutoff.
+    """Count singular values of the gauge-equilibrated block above the policy cutoff.
 
-    Nonsingular diagonal scaling keeps the rank, so the nullity of L_g is
+    Nonsingular diagonal scaling keeps the rank, so the rank of L_g is
     read off B = D_{s-1} L_g D_s^{-1}, whose entries are 1 up to the
     rounding of the gauge products.  Raises ValueError when the block is not
     in gauge form or the residual max |entry - 1| exceeds
@@ -256,14 +233,7 @@ def nullity_numeric(
             kept_margin=None if kept is None else float(kept / cutoff),
             dropped_margin=None if dropped is None else float(dropped / cutoff),
         )
-    return op.shape[1] - rank
-
-
-def rank_numeric(
-    op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERANCE, report: dict | None = None
-) -> int:
-    """Numerical rank under the same cutoff and ``report`` as :func:`nullity_numeric`."""
-    return op.shape[1] - nullity_numeric(op, tol_policy, report)
+    return rank
 
 
 @functools.lru_cache(maxsize=8)
@@ -342,10 +312,7 @@ def null_basis(op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERAN
     return DarkSubspace(op.source, q.T, phases, how["route"], margin)
 
 
-def dark_subspace(
-    n_qubits: int, n_excited: int, profile: CouplingProfile,
-    tol_policy: TolerancePolicy = DEFAULT_TOLERANCE,
-) -> DarkSubspace:
+def dark_subspace(n_qubits: int, n_excited: int, profile: CouplingProfile) -> DarkSubspace:
     """Dark subspace of the (N, s) sector for a given coupling profile.
 
     s = 0 has no lowering block; the all-ground state is trivially dark and
@@ -354,12 +321,12 @@ def dark_subspace(
     if n_excited == 0:
         return DarkSubspace(enumerate_sector(n_qubits, 0), np.ones((1, 1)),
                             np.ones(1, dtype=np.complex128), "convention", None)
-    return null_basis(build_lowering_block(n_qubits, n_excited, profile), tol_policy)
+    return null_basis(build_lowering_block(n_qubits, n_excited, profile))
 
 
-def projector(sub: DarkSubspace) -> Projector:
-    """The dark projector of ``sub``, wrapping its basis; no rows if the sector is bright."""
-    return Projector(sector=sub.sector, real_basis=sub.real_basis, phases=sub.phases)
+def projector(sub: DarkSubspace) -> np.ndarray:
+    """The dense dim x dim dark projector of ``sub``, from one real GEMM; zero if bright."""
+    return (sub.real_basis.T @ sub.real_basis) * np.outer(sub.phases, sub.phases.conj())
 
 
 @dataclass(frozen=True)
@@ -376,22 +343,19 @@ def _dark_tolerance(op: SectorOperator, tol_policy: TolerancePolicy) -> float:
     return tol_policy.cutoff(scale, op.shape)
 
 
-def verify_dark(
-    state: PureState, op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERANCE
-) -> DarkCheck:
+def verify_dark(state: PureState, op: SectorOperator) -> DarkCheck:
     """Certify that a zero-photon sector state is dark.
 
     The one nontrivial requirement is annihilation by the lowering block (no
     emission).  Stationarity needs nothing more: a state inside one
     excitation sector is an S^z eigenstate by construction, and the photon
-    part is empty, so the absorption term acts as zero.  The tolerance
-    scales with the Frobenius norm of the block unless the policy fixes an
-    absolute cutoff.
+    part is empty, so the absorption term acts as zero.  The tolerance is
+    the default policy's cutoff, scaled by the Frobenius norm of the block.
     """
     if state.basis != op.source:
         raise ValueError("state does not live in the operator's source sector")
 
-    tol = _dark_tolerance(op, tol_policy)
+    tol = _dark_tolerance(op, DEFAULT_TOLERANCE)
     residual = float(np.linalg.norm(op.apply(state.amplitudes))) / max(state.norm, 1e-300)
     return DarkCheck(passed=residual <= tol, residual_norm=residual, residual_tolerance=tol)
 
@@ -403,15 +367,10 @@ def verify_dark(
 MERSENNE_31 = (1 << 31) - 1  # 2147483647, the Mersenne prime 2^31 - 1
 
 
-class EliminationBudgetExceeded(RuntimeError):
-    """Raised when the exact rank certificate passes its wall-clock budget."""
-
-
 def rank_exact_modp(
     n_qubits: int,
     n_excited: int,
     prime: int = MERSENNE_31,
-    time_budget_s: float | None = None,
     report: dict | None = None,
 ) -> int:
     """Exact rank of the lowering block over F_prime, by a certificate that can fail.
@@ -435,17 +394,15 @@ def rank_exact_modp(
     certificate is then inconclusive and the call raises ValueError.
     ``MERSENNE_31`` certifies every sector: for N <= 64 each lambda_i is at
     most s(N-s+1) <= 1056 < 2^31 - 1, and every intermediate stays below
-    (N + 1057) prime < 2^42.  ``time_budget_s`` bounds the
-    wall-clock time (:class:`EliminationBudgetExceeded`).  A ``report``
-    dict, if given, receives ``route`` ("gram-certificate") and ``degree``
-    (k, the degree of q).
+    (N + 1057) prime < 2^42.  Its work is bounded by the sector cap: about
+    5 s at (24, 12).  A ``report`` dict, if given, receives ``route``
+    ("gram-certificate") and ``degree`` (k, the degree of q).
     """
     if n_excited < 1 or n_excited > n_qubits:
         raise ValueError("n_excited must lie in [1, n_qubits] for a lowering block")
     if prime.bit_length() > 31 or prime < 3 or prime % 2 == 0:
         raise ValueError("prime must be an odd prime with at most 31 bits")
 
-    deadline = None if time_budget_s is None else time.monotonic() + time_budget_s
     source, target, indptr, rows, _ = inclusion_pattern(n_qubits, n_excited)
     w = sp.csc_matrix((np.ones(rows.size, dtype=np.int64), rows, indptr),
                       shape=(target.size, source.size))
@@ -453,10 +410,7 @@ def rank_exact_modp(
     lams = [(n_excited - i) * (n_qubits - n_excited + 1 - i) % prime for i in range(k)]
     v = np.zeros(m.shape[0], dtype=np.int64)
     v[0] = 1
-    for i, lam in enumerate(lams):  # every intermediate stays below (N + lam + 1) prime < 2^63
-        if deadline is not None and time.monotonic() > deadline:
-            raise EliminationBudgetExceeded(f"rank certificate passed its wall-clock budget "
-                                            f"after {i} of {k} Gram factors on {v.size} rows")
+    for lam in lams:  # every intermediate stays below (N + lam + 1) prime < 2^63
         v = (m @ (m.T @ v % prime) - lam * v) % prime
     if np.any(v) or not all(lams):
         raise ValueError(f"the ({n_qubits}, {n_excited}) rank certificate is inconclusive "

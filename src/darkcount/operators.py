@@ -34,9 +34,6 @@ class SectorOperator:
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """Map s-sector amplitudes to (s-1)-sector amplitudes."""
         return self.matrix @ amplitudes
@@ -66,11 +63,6 @@ class PureState:
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return PureState(self.basis, self.amplitudes / n)
-
-    def overlap(self, other: "PureState") -> complex:
-        if other.basis != self.basis:
-            raise ValueError("overlap requires states in the same sector")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .counting import ndark_formula
 from .couplings import CouplingProfile
-from .darkspace import DEFAULT_TOLERANCE, Projector, TolerancePolicy, dark_subspace, projector
+from .darkspace import DarkSubspace, dark_subspace
 from .operators import PureState
 from .sector import state_index
 
@@ -61,7 +61,7 @@ class MonteCarloResult:
     profile_label: str
 
 
-def null_emission_probability(init: int | PureState, proj: Projector) -> float:
+def null_emission_probability(init: int | PureState, sub: DarkSubspace) -> float:
     """Probability that the detector never clicks for a given initial state.
 
     For a basis arrangement (occupation pattern) this is the corresponding
@@ -69,20 +69,15 @@ def null_emission_probability(init: int | PureState, proj: Projector) -> float:
     gives the full expectation value <psi|P|psi> = sum_j |<d_j|psi>|^2.
     """
     if isinstance(init, PureState):
-        if init.basis != proj.sector:
-            raise ValueError("state and projector belong to different sectors")
-        overlaps = proj.real_basis @ (proj.phases.conj() * init.normalized().amplitudes)
+        if init.basis != sub.sector:
+            raise ValueError("state and dark subspace belong to different sectors")
+        overlaps = sub.real_basis @ (sub.phases.conj() * init.normalized().amplitudes)
         return float(np.vdot(overlaps, overlaps).real)
-    k = state_index(proj.sector, init)  # validates popcount and bit range
-    return float(proj.diagonal()[k])
+    k = state_index(sub.sector, init)  # validates popcount and bit range
+    return float(sub.diagonal()[k])
 
 
-def measure_d(
-    n_qubits: int,
-    n_excited: int,
-    profile: CouplingProfile,
-    tol_policy: TolerancePolicy = DEFAULT_TOLERANCE,
-) -> ProtocolResult:
+def measure_d(n_qubits: int, n_excited: int, profile: CouplingProfile) -> ProtocolResult:
     """Run the ideal protocol: sum null-emission probabilities over all arrangements.
 
     The sum equals the trace of the dark projector over the s-sector, i.e.
@@ -94,8 +89,8 @@ def measure_d(
                          f"over the protocol cap of {BASIS_BYTES_CAP >> 20} MiB")
     if profile.n_qubits != n_qubits:
         raise ValueError(f"profile has {profile.n_qubits} couplings for {n_qubits} qubits")
-    sub = dark_subspace(n_qubits, n_excited, profile, tol_policy)
-    diag = projector(sub).diagonal()
+    sub = dark_subspace(n_qubits, n_excited, profile)
+    diag = sub.diagonal()
     per = list(zip(sub.sector.states.tolist(), diag.tolist()))
     return ProtocolResult(
         n_qubits=n_qubits,
@@ -115,7 +110,6 @@ def monte_carlo_protocol(
     profile: CouplingProfile,
     trials: int,
     seed: int,
-    tol_policy: TolerancePolicy = DEFAULT_TOLERANCE,
 ) -> MonteCarloResult:
     """Emulate the repeated experiment with ``trials`` runs per arrangement.
 
@@ -125,7 +119,7 @@ def monte_carlo_protocol(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    exact = measure_d(n_qubits, n_excited, profile, tol_policy)
+    exact = measure_d(n_qubits, n_excited, profile)
     root = np.random.SeedSequence(seed)
     children = root.spawn(len(exact.per_arrangement))
     estimate = 0.0

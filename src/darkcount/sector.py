@@ -29,20 +29,33 @@ SECTOR_CAP = 3_000_000
 class SectorBasis:
     """Ordered basis of the sector with ``n_excited`` of ``n_qubits`` qubits excited.
 
-    ``states`` is a read-only uint64 array; sectors compare and hash by
-    ``(n_qubits, n_excited)``, which fix the states of every basis that
-    ``enumerate_sector`` builds (a hand-built one is checked only for size).
+    ``states`` is a read-only uint64 array that the basis derives from
+    ``(n_qubits, n_excited)`` by the colex recursion, one qubit at a time,
+    keeping only the sectors (n, k) that still reach (N, s).  Sectors
+    compare and hash by those two numbers.  A pattern is one uint64, so N is
+    at most 64, and the sector may hold at most ``SECTOR_CAP`` states.
     """
 
     n_qubits: int
     n_excited: int
-    states: np.ndarray = field(compare=False, repr=False)
+    states: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=np.uint64).view()
-        if states.shape != (comb(self.n_qubits, self.n_excited),):
-            raise ValueError(f"sector ({self.n_qubits}, {self.n_excited}) needs "
-                             f"{comb(self.n_qubits, self.n_excited)} states, got {states.size}")
+        n_qubits, n_excited = self.n_qubits, self.n_excited
+        if not 1 <= n_qubits <= 64:
+            raise ValueError(f"n_qubits must lie in [1, 64] for a uint64 pattern, got {n_qubits}")
+        if not 0 <= n_excited <= n_qubits:
+            raise ValueError(f"n_excited must lie in [0, {n_qubits}], got {n_excited}")
+        if comb(n_qubits, n_excited) > SECTOR_CAP:
+            raise ValueError(f"sector ({n_qubits}, {n_excited}) has {comb(n_qubits, n_excited)} "
+                             f"states, over the sector cap of {SECTOR_CAP}")
+        empty = np.zeros(0, dtype=np.uint64)
+        level = {0: np.zeros(1, dtype=np.uint64)}  # sector(0, 0)
+        for n in range(1, n_qubits + 1):
+            top = np.uint64(1 << (n - 1))
+            level = {k: np.concatenate([level.get(k, empty), level.get(k - 1, empty) | top])
+                     for k in range(max(0, n_excited - n_qubits + n), min(n, n_excited) + 1)}
+        states = level[n_excited]
         states.flags.writeable = False
         object.__setattr__(self, "states", states)
 
@@ -56,33 +69,16 @@ class SectorBasis:
 
 
 def enumerate_sector(n_qubits: int, n_excited: int) -> SectorBasis:
-    """Enumerate the s-sector in canonical (ascending integer) order.
-
-    Builds the colex recursion one qubit at a time, keeping only the
-    sectors (n, k) that still reach (N, s).  A pattern is one uint64, so
-    N is at most 64, and the sector may hold at most ``SECTOR_CAP`` states.
-    """
-    if not 1 <= n_qubits <= 64:
-        raise ValueError(f"n_qubits must lie in [1, 64] for a uint64 pattern, got {n_qubits}")
-    if not 0 <= n_excited <= n_qubits:
-        raise ValueError(f"n_excited must lie in [0, {n_qubits}], got {n_excited}")
-    if comb(n_qubits, n_excited) > SECTOR_CAP:
-        raise ValueError(f"sector ({n_qubits}, {n_excited}) has {comb(n_qubits, n_excited)} "
-                         f"states, over the sector cap of {SECTOR_CAP}")
-    empty = np.zeros(0, dtype=np.uint64)
-    level = {0: np.zeros(1, dtype=np.uint64)}  # sector(0, 0)
-    for n in range(1, n_qubits + 1):
-        top = np.uint64(1 << (n - 1))
-        level = {k: np.concatenate([level.get(k, empty), level.get(k - 1, empty) | top])
-                 for k in range(max(0, n_excited - n_qubits + n), min(n, n_excited) + 1)}
-    return SectorBasis(n_qubits, n_excited, level[n_excited])
+    """Enumerate the s-sector in canonical (ascending integer) order."""
+    return SectorBasis(n_qubits, n_excited)
 
 
 def state_index(basis: SectorBasis, state: int) -> int:
     """Position of ``state`` in ``basis.states``, by bisection of the sorted array.
 
     Accepts any integer, numpy ones included; raises ValueError for a pattern
-    outside the register or with the wrong number of excited qubits.
+    outside the register or with the wrong number of excited qubits.  Every
+    other pattern is in the basis, which holds all of them.
     """
     state = operator.index(state)
     if state < 0 or state >> basis.n_qubits:
@@ -94,16 +90,4 @@ def state_index(basis: SectorBasis, state: int) -> int:
             f"state {basis.bitstring(state)} has {state.bit_count()} excited qubits, "
             f"expected {basis.n_excited}"
         )
-    idx = int(np.searchsorted(basis.states, np.uint64(state)))
-    if idx == basis.size or basis.states[idx] != state:
-        raise ValueError(f"state {basis.bitstring(state)} is not in the basis")
-    return idx
-
-
-def arrangements(n_qubits: int, n_excited: int) -> list[int]:
-    """All rearrangements of s excited qubits over N sites.
-
-    These coincide with the sector basis states, in the same canonical order;
-    the protocol iterates over exactly this list.
-    """
-    return enumerate_sector(n_qubits, n_excited).states.tolist()
+    return int(np.searchsorted(basis.states, np.uint64(state)))

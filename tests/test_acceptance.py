@@ -30,7 +30,6 @@ from darkcount.couplings import (
     uniform_profile,
 )
 from darkcount.darkspace import (
-    EliminationBudgetExceeded,
     dark_subspace,
     rank_exact_modp,
     rank_numeric,
@@ -46,7 +45,6 @@ from darkcount.protocol import (
     monte_carlo_protocol,
     null_emission_probability,
 )
-from darkcount.darkspace import projector
 from darkcount.trajectory import run_trajectories, standard_config
 
 MILD = DisorderSpec(0.7, 1.0, phase_random=True, distribution="uniform")
@@ -128,21 +126,11 @@ def test_criterion_3_exact_certification_20_10():
     decides (20, 10) in well under a second.
     """
     t0 = time.perf_counter()
-    try:
-        rank = rank_exact_modp(20, 10, time_budget_s=290.0)
-        elapsed = time.perf_counter() - t0
-        ok = rank == 167960 and elapsed < 300.0
-        report(3, ok, f"(20,10) certified rank {rank} in {elapsed:.0f} s")
-        assert ok
-    except EliminationBudgetExceeded as exc:
-        elapsed = time.perf_counter() - t0
-        report(3, False, f"(20,10) exact certification infeasible in {elapsed:.0f} s: {exc}")
-        pytest.fail(
-            "rank_exact_modp(20, 10) did not finish within its budget: after "
-            f"{elapsed:.0f} s the Gram certificate had not decided the rank "
-            f"({exc}).  The certificate takes well under a second here, so a failure means "
-            "it has slowed down by orders of magnitude."
-        )
+    rank = rank_exact_modp(20, 10)
+    elapsed = time.perf_counter() - t0
+    ok = rank == 167960 and elapsed < 300.0
+    report(3, ok, f"(20,10) certified rank {rank} in {elapsed:.1f} s")
+    assert ok, f"rank {rank} in {elapsed:.0f} s, against 167960 within 300 s"
 
 
 def test_criterion_4_trace_identity():
@@ -191,7 +179,7 @@ def test_criterion_6_analytic_states_to_n64():
         op = build_lowering_block(n, 1, profile)
         bound = 1e-12 * profile.max_magnitude
         worst = max(np.linalg.norm(op.apply(d.amplitudes)) for d in states)
-        gram = np.array([[a.overlap(b) for b in states] for a in states])
+        gram = np.array([[np.vdot(a.amplitudes, b.amplitudes) for b in states] for a in states])
         grank = np.linalg.matrix_rank(gram)
         ok &= worst <= bound and grank == n - 1
         detail.append(f"N={n}: residual {worst:.1e}, Gram rank {grank}")
@@ -247,7 +235,7 @@ def test_criterion_8_lossy_limit_as_pinned():
                                  n_trajectories=10_000, seed=1000 + 10 * n + s,
                                  waiting_factor=50.0)
         stats = run_trajectories(config)
-        expectation = null_emission_probability(init, projector(dark_subspace(n, s, profile)))
+        expectation = null_emission_probability(init, dark_subspace(n, s, profile))
         dev = abs(stats.p_no_click - expectation)
         tol = max(0.03, 4.0 * stats.standard_error)
         checked += 1
@@ -279,7 +267,7 @@ def test_criterion_8_lossy_limit_calibrated_horizon():
                                  n_trajectories=10_000, seed=2000 + 10 * n + s,
                                  waiting_factor=130.0)
         stats = run_trajectories(config)
-        expectation = null_emission_probability(init, projector(dark_subspace(n, s, profile)))
+        expectation = null_emission_probability(init, dark_subspace(n, s, profile))
         dev = abs(stats.p_no_click - expectation)
         tol = max(0.03, 4.0 * stats.standard_error)
         if dev > tol:

@@ -63,7 +63,20 @@ def test_count_skips_the_exact_route_when_the_s_minus_1_sector_is_over_cap(capsy
     payload = run_json(capsys, "count", "--n", str(n), "--s", str(s))
     result = payload["data"]["results"][0]
     assert not result["methods"]["exact_modp"]["ran"]
-    assert payload["data"]["all_agree"]
+    assert payload["data"]["all_agree"] is None  # no method checked the closed form
+
+
+def test_count_with_no_method_run_claims_no_agreement(capsys):
+    payload = run_json(capsys, "count", "--n", "17", "--s", "8", "--exact-cap", "10")
+    (result,) = payload["data"]["results"]
+    assert not any(m["ran"] for m in result["methods"].values())
+    assert result["agree"] is None
+    assert payload["data"]["all_agree"] is None
+    # one unchecked sector among checked ones still leaves the verdict open
+    payload = run_json(capsys, "count", "--n", "17", "--all-s", "--exact-cap", "10")
+    verdicts = [r["agree"] for r in payload["data"]["results"]]
+    assert None in verdicts and True in verdicts and False not in verdicts
+    assert payload["data"]["all_agree"] is None
 
 
 def test_count_all_s(capsys):
@@ -267,6 +280,16 @@ def test_trajectory_json(capsys):
     assert abs(data["p_no_click"] - 0.5) < 0.05
     assert data["waiting_time_sufficient"] is True
     assert data["deviation_from_projector"] <= data["tolerance"]
+
+
+def test_trajectory_disorder_default_is_narrow_and_log3_is_honoured(capsys):
+    common = ("trajectory", "--n", "2", "--s", "1", "--trajectories", "100")
+    payload = run_json(capsys, *common)
+    assert payload["config"]["disorder"] == "narrow"
+    assert payload["data"]["profile"]["label"].startswith("uniform[0.5,1]")
+    payload = run_json(capsys, *common, "--disorder", "log3")
+    assert payload["config"]["disorder"] == "log3"
+    assert payload["data"]["profile"]["label"].startswith("log-uniform[0.001,1]")
 
 
 def test_trajectory_kappa_sweep(capsys):

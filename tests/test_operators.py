@@ -37,12 +37,12 @@ def test_single_excitation_row():
     profile = sample_profile(5, DEFAULT_DISORDER, seed=2)
     op = build_lowering_block(5, 1, profile)
     assert op.shape == (1, 5)
-    assert np.allclose(op.to_dense()[0], profile.as_array())
+    assert np.allclose(op.matrix.toarray()[0], profile.as_array())
 
 
 def test_two_qubit_full_sector_column():
     op = build_lowering_block(2, 2, CouplingProfile((1.0 + 0j, 2.0 + 0j)))
-    col = op.to_dense().ravel()
+    col = op.matrix.toarray().ravel()
     # target order is [01, 10]: clearing qubit 2 leaves 01 (weight g2), etc.
     assert col[0] == 2.0
     assert col[1] == 1.0
@@ -50,14 +50,14 @@ def test_two_qubit_full_sector_column():
 
 def test_uniform_single_excitation_rank_one():
     op = build_lowering_block(2, 1, uniform_profile(2, 1.0))
-    assert np.linalg.matrix_rank(op.to_dense()) == 1
+    assert np.linalg.matrix_rank(op.matrix.toarray()) == 1
 
 
 @pytest.mark.parametrize("n,s,seed", [(4, 2, 0), (5, 3, 1), (6, 2, 2), (6, 4, 3)])
 def test_matches_brute_force(n, s, seed):
     profile = sample_profile(n, DEFAULT_DISORDER, seed=seed)
     op = build_lowering_block(n, s, profile)
-    assert np.allclose(op.to_dense(), brute_force_lowering(n, s, profile))
+    assert np.allclose(op.matrix.toarray(), brute_force_lowering(n, s, profile))
 
 
 @pytest.mark.parametrize("n,s", [(4, 1), (4, 2), (6, 3), (7, 5)])
@@ -75,7 +75,7 @@ def test_columns_hold_the_source_couplings(n, s):
 
 def test_adjoint_is_raising_block():
     profile = sample_profile(5, DEFAULT_DISORDER, seed=4)
-    lower = build_lowering_block(5, 2, profile).to_dense()
+    lower = build_lowering_block(5, 2, profile).matrix.toarray()
     # raising from sector 1 to 2 with conjugated couplings, built by brute force
     src = enumerate_sector(5, 1)
     tgt = enumerate_sector(5, 2)
@@ -124,13 +124,13 @@ def test_dark_state_family_properties(n, seed):
         assert d.norm == pytest.approx(1.0, abs=1e-12)
         assert np.count_nonzero(d.amplitudes) == 2
         assert np.linalg.norm(op.apply(d.amplitudes)) <= 1e-12 * gmax
-    gram = np.array([[a.overlap(b) for b in states] for a in states])
+    gram = np.array([[np.vdot(a.amplitudes, b.amplitudes) for b in states] for a in states])
     assert np.linalg.matrix_rank(gram) == n - 1
 
 
 def test_dark_states_not_orthogonal_but_independent():
     states = single_excitation_dark_states(uniform_profile(4, 1.0))
-    overlaps = [abs(states[i].overlap(states[j])) for i in range(3) for j in range(i + 1, 3)]
+    overlaps = [abs(np.vdot(states[i].amplitudes, states[j].amplitudes)) for i in range(3) for j in range(i + 1, 3)]
     assert all(o > 1e-3 for o in overlaps)
 
 

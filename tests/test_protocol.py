@@ -14,49 +14,48 @@ from darkcount.sector import enumerate_sector
 
 
 def test_two_qubit_uniform_probabilities():
-    proj = projector(dark_subspace(2, 1, uniform_profile(2, 1.0)))
-    assert null_emission_probability(0b01, proj) == pytest.approx(0.5)
-    assert null_emission_probability(0b10, proj) == pytest.approx(0.5)
+    sub = dark_subspace(2, 1, uniform_profile(2, 1.0))
+    assert null_emission_probability(0b01, sub) == pytest.approx(0.5)
+    assert null_emission_probability(0b10, sub) == pytest.approx(0.5)
 
 
 def test_dark_superposition_never_emits():
     profile = sample_profile(4, DEFAULT_DISORDER, seed=6)
     sub = dark_subspace(4, 2, profile)
-    proj = projector(sub)
     for v in sub.basis:
         d = PureState(sub.sector, v)
-        assert null_emission_probability(d, proj) == pytest.approx(1.0, abs=1e-12)
+        assert null_emission_probability(d, sub) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_superposition_probability_matches_dense_expectation():
     profile = sample_profile(6, DEFAULT_DISORDER, seed=9)
-    proj = projector(dark_subspace(6, 3, profile))
+    sub = dark_subspace(6, 3, profile)
     rng = np.random.default_rng(0)
     amps = rng.normal(size=20) + 1j * rng.normal(size=20)
     state = PureState(enumerate_sector(6, 3), amps)
     psi = state.normalized().amplitudes
-    dense = np.vdot(psi, proj.matrix @ psi).real
-    assert abs(null_emission_probability(state, proj) - dense) <= 1e-12
+    dense = np.vdot(psi, projector(sub) @ psi).real
+    assert abs(null_emission_probability(state, sub) - dense) <= 1e-12
 
 
 def test_bright_sector_probability_zero():
     profile = sample_profile(4, DEFAULT_DISORDER, seed=2)
-    proj = projector(dark_subspace(4, 3, profile))
+    sub = dark_subspace(4, 3, profile)
     for pattern in enumerate_sector(4, 3).states:
-        assert null_emission_probability(pattern, proj) == pytest.approx(0.0, abs=1e-14)
+        assert null_emission_probability(pattern, sub) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_probability_rejects_sector_mismatch():
-    proj = projector(dark_subspace(4, 2, uniform_profile(4, 1.0)))
+    sub = dark_subspace(4, 2, uniform_profile(4, 1.0))
     with pytest.raises(ValueError):
-        null_emission_probability(0b0111, proj)
+        null_emission_probability(0b0111, sub)
     state = PureState(enumerate_sector(4, 1), np.ones(4) / 2.0)
     with pytest.raises(ValueError):
-        null_emission_probability(state, proj)
-    proj41 = projector(dark_subspace(4, 1, uniform_profile(4, 1.0)))
+        null_emission_probability(state, sub)
+    sub41 = dark_subspace(4, 1, uniform_profile(4, 1.0))
     same_size = PureState(enumerate_sector(4, 3), np.ones(4) / 2.0)  # C(4, 3) = C(4, 1)
     with pytest.raises(ValueError):
-        null_emission_probability(same_size, proj41)
+        null_emission_probability(same_size, sub41)
 
 
 def test_measure_d_examples():

@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from darkcount.sector import SectorBasis, arrangements, enumerate_sector, state_index
+from darkcount.sector import SectorBasis, enumerate_sector, state_index
 
 
 def test_two_qubit_single_excitation():
@@ -75,19 +75,14 @@ def test_state_index_rejects_wrong_popcount():
         state_index(basis, 0b110000)
 
 
-def test_hand_built_basis_is_checked():
-    with pytest.raises(ValueError, match="needs 2 states"):
-        SectorBasis(2, 1, (0b01,))
-    # right size, wrong states: state_index finds no match rather than a position
-    basis = SectorBasis(3, 1, (0b001, 0b010, 0b010))
-    with pytest.raises(ValueError, match="not in the basis"):
-        state_index(basis, 0b100)
-
-
-def test_arrangements_match_basis():
-    assert arrangements(3, 1) == [0b001, 0b010, 0b100]
-    assert len(arrangements(4, 2)) == 6
-    assert arrangements(2, 2) == [0b11]
+def test_sector_basis_derives_its_states():
+    for n, s in [(3, 1), (4, 2), (2, 2), (7, 0)]:
+        basis = SectorBasis(n, s)
+        assert basis == enumerate_sector(n, s)
+        assert basis.states.tolist() == enumerate_sector(n, s).states.tolist()
+    assert SectorBasis(3, 1).states.tolist() == [0b001, 0b010, 0b100]
+    with pytest.raises(TypeError):
+        SectorBasis(3, 1, (0b001, 0b010, 0b010))
 
 
 def test_argument_validation():
