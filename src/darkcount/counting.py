@@ -144,6 +144,7 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 70, 20, 20, 55
+_CURVE_POINTS = 200  # samples of the thermodynamic-limit line
 
 
 def _xpix(alpha: float) -> float:
@@ -175,11 +176,11 @@ def _marker_svg(kind: str, x: float, y: float, color: str) -> str:
     )
 
 
-def sweep_to_svg(records: list[SweepRecord], curve_points: int = 200) -> str:
+def sweep_to_svg(records: list[SweepRecord]) -> str:
     """Standalone SVG: finite-N markers over the infinite-N curve.
 
     X axis is the filling alpha = s/N, Y axis the dark fraction; the solid
-    line samples the thermodynamic limit at ``curve_points`` points.
+    line samples the thermodynamic limit at ``_CURVE_POINTS`` points.
     """
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -216,8 +217,8 @@ def sweep_to_svg(records: list[SweepRecord], curve_points: int = 200) -> str:
     )
 
     pts = []
-    for k in range(curve_points + 1):
-        a = k / curve_points
+    for k in range(_CURVE_POINTS + 1):
+        a = k / _CURVE_POINTS
         pts.append(f"{_xpix(a):.1f},{_ypix(thermodynamic_order(a)):.1f}")
     parts.append(
         f'<polyline points="{" ".join(pts)}" fill="none" stroke="black" stroke-width="1.5"/>'

@@ -7,13 +7,14 @@ never depends on the couplings, while the dark basis, D_s^{-1} ker W made
 orthonormal, does.  Two independent routes give the same integers:
 
 * a floating-point route with an explicit, auditable tolerance policy.  The
-  numeric rank counts the squared singular values of the equilibrated block
-  B = D_{s-1} L_g D_s^{-1}, which is W to rounding, as the eigenvalues of
-  the Gram matrix of B's smaller side.  Those are Wilson's integers
-  (s-i)(N-s+1-i) >= 1 however wide the disorder, so one Cholesky
+  numeric rank certifies or raises.  The squared singular values of the
+  equilibrated block B = D_{s-1} L_g D_s^{-1}, which is W to rounding, are
+  the eigenvalues of the Gram matrix of B's smaller side: Wilson's integers
+  (s-i)(N-s+1-i) >= 1 however wide the disorder.  So one Cholesky
   factorization of the shifted Gram matrix certifies full rank (Sylvester's
-  law of inertia).  The couplings are read back off the block, so a block
-  that is not in gauge form raises.  The dark basis is Rumer's pairing
+  law of inertia), and one that breaks down raises ValueError.  The
+  couplings are read back off the block, so a block that is not in gauge
+  form raises too.  The dark basis is Rumer's pairing
   basis of ker W scaled by |D_s|^{-1}, made orthonormal by one real QR; the
   coupling phases go back on only where the vectors themselves are read;
 * an exact route over F_p, where rank L_g = rank W as well.  The rank is
@@ -62,22 +63,19 @@ __all__ = [
 class TolerancePolicy:
     """Singular-value cutoff: sigma_max * max(dim) * eps * safety_factor.
 
-    ``absolute`` overrides the scaled formula with a fixed cutoff.  The
-    numeric count compares sigma^2 with tau = max(cutoff^2, floor), where
-    floor = relative(G.shape) * ||G||_1 is the backward error of a Cholesky
-    factorization of the Gram matrix G: no threshold on sigma^2 below it can
-    be resolved.  Its margins stay in sigma units over the cutoff.
+    The numeric rank certifies that every sigma^2 exceeds tau =
+    max(cutoff^2, floor), where floor = relative(G.shape) * ||G||_1 is the
+    backward error of a Cholesky factorization of the Gram matrix G: no
+    threshold on sigma^2 below it can be resolved.  The kept margin stays in
+    sigma units over the cutoff.
     """
 
     safety_factor: float = 100.0
-    absolute: float | None = None
 
     def relative(self, shape: tuple[int, int]) -> float:
         return max(shape) * np.finfo(np.float64).eps * self.safety_factor
 
     def cutoff(self, sigma_max: float, shape: tuple[int, int]) -> float:
-        if self.absolute is not None:
-            return self.absolute
         return sigma_max * self.relative(shape)
 
 
@@ -179,7 +177,7 @@ def _smallest_eigenvalue(factor: np.ndarray) -> float:
 def rank_numeric(
     op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERANCE, report: dict | None = None
 ) -> int:
-    """Count singular values of the gauge-equilibrated block above the policy cutoff.
+    """Certify that the gauge-equilibrated block has full rank min(m, n), or raise.
 
     Nonsingular diagonal scaling keeps the rank, so the rank of L_g is
     read off B = D_{s-1} L_g D_s^{-1}, whose entries are 1 up to the
@@ -191,12 +189,11 @@ def rank_numeric(
     sigma^2 is compared with tau = max(cutoff^2, relative(G.shape) ||G||_1),
     the second term the factorization's backward error.  A Cholesky
     factorization of G - tau I that succeeds is the certificate: every
-    sigma^2 exceeds tau (Sylvester), so the rank is min(m, n).  If it breaks
-    down, the eigenvalues of G above tau are counted.  A ``report`` dict, if
-    given, receives ``gauge_residual``, ``kept_margin`` (smallest kept
-    singular value over the cutoff; after a certificate, an estimate from
-    above by inverse iteration on the factor) and ``dropped_margin``
-    (largest dropped one over the cutoff, None when none is dropped).
+    sigma^2 exceeds tau (Sylvester), so the rank is min(m, n).  One that
+    breaks down raises ValueError naming the sector, tau and the failing
+    pivot.  A ``report`` dict, if given, receives ``gauge_residual`` and
+    ``kept_margin``, the smallest singular value over the cutoff, estimated
+    from above by inverse iteration on the factor.
     """
     g, coo = _read_couplings(op)
     with np.errstate(all="ignore"):  # a product out of range shows in the residual
@@ -212,28 +209,19 @@ def rank_numeric(
     norm1 = float(abs(gram).sum(axis=0).max())
     cutoff = tol_policy.cutoff(np.sqrt(norm1), op.shape)
     tau = max(cutoff**2, tol_policy.relative(gram.shape) * norm1)
-    dim = gram.shape[0]
     shifted = gram.toarray(order="F")  # LAPACK's layout: dpotrf works in place
     np.fill_diagonal(shifted, shifted.diagonal() - tau)
     factor, info = scipy.linalg.lapack.dpotrf(shifted, clean=False, overwrite_a=True)
-    dropped = None
-    if info == 0:
-        rank = dim
-        kept = np.sqrt(_smallest_eigenvalue(factor) + tau)
-    else:
-        del factor, shifted
-        lam = scipy.linalg.eigvalsh(gram.toarray(), overwrite_a=True, check_finite=False)[::-1]
-        sigma = np.sqrt(np.clip(lam, 0.0, None))
-        rank = int(np.count_nonzero(lam > tau))
-        kept = sigma[rank - 1] if rank else None
-        dropped = sigma[rank] if rank < dim else None
-    if report is not None:
-        report.update(
-            gauge_residual=residual,
-            kept_margin=None if kept is None else float(kept / cutoff),
-            dropped_margin=None if dropped is None else float(dropped / cutoff),
+    if info != 0:
+        raise ValueError(
+            f"the ({op.source.n_qubits}, {op.source.n_excited}) rank certificate failed: "
+            f"the Cholesky factorization of G - tau I, tau = {tau:.3e}, breaks down at "
+            f"pivot {info} of {gram.shape[0]}"
         )
-    return rank
+    if report is not None:
+        kept = np.sqrt(_smallest_eigenvalue(factor) + tau)
+        report.update(gauge_residual=residual, kept_margin=float(kept / cutoff))
+    return gram.shape[0]
 
 
 @functools.lru_cache(maxsize=8)

@@ -93,7 +93,7 @@ def test_count_survives_extreme_disorder(capsys, n, s, g_min):
     assert payload["data"]["all_agree"]
     assert numeric["gauge_residual"] <= 1e-14
     assert numeric["kept_margin"] > 1e6
-    assert numeric["dropped_margin"] is None  # the null directions lie past min(m, n)
+    assert "dropped_margin" not in numeric  # the rank is certified full: nothing is dropped
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -174,6 +174,8 @@ def test_darkbasis_self_checks(capsys):
     assert data["nullity_route"] == "gram-certificate"
     assert data["qr_margin"] > 1
     assert "tolerance_used" not in data
+    # null_basis holds every vector to the dark tolerance, so no re-check is recorded
+    assert "all_basis_states_verified_dark" not in data["checks"]
 
 
 def test_protocol_identity(capsys):
@@ -292,6 +294,23 @@ def test_trajectory_disorder_default_is_narrow_and_log3_is_honoured(capsys):
     assert payload["data"]["profile"]["label"].startswith("log-uniform[0.001,1]")
 
 
+def test_trajectory_csv_is_the_json_histogram(capsys):
+    from darkcount.cli import HISTOGRAM_BINS
+
+    common = ("trajectory", "--n", "2", "--s", "1", "--uniform", "1.0",
+              "--trajectories", "500", "--seed", "3")
+    data = run_json(capsys, *common, "--histogram")["data"]
+    histogram = data["first_click_histogram"]
+    assert data["n_click"] > 0 and len(histogram) == HISTOGRAM_BINS == 40
+    assert sum(row["click_fraction"] for row in histogram) == pytest.approx(1.0, abs=1e-12)
+    code, out = run_cli(capsys, *common, "--format", "csv")
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "t_low,t_high,click_fraction"
+    assert rows == [f"{r['t_low']:.12g},{r['t_high']:.12g},{r['click_fraction']:.12g}"
+                    for r in histogram]
+
+
 def test_trajectory_kappa_sweep(capsys):
     payload = run_json(capsys, "trajectory", "--n", "2", "--s", "1",
                        "--uniform", "1.0", "--kappa-ratios", "1000,100,10",
@@ -357,7 +376,18 @@ def test_rank_failure_prints_every_record(capsys, monkeypatch):
     assert "rank methods disagree" in captured.err
     modp, svd = json.loads(captured.out)["data"]["records"]
     assert (modp["rank"], svd["rank"]) == (3, 4)
-    assert svd["kept_margin"] > 1 and svd["dropped_margin"] is None
+    assert svd["kept_margin"] > 1 and "dropped_margin" not in svd
+
+
+@pytest.mark.parametrize("command", [("count", "--s", "2"),
+                                     ("rank", "--s", "2", "--method", "numeric")])
+def test_numeric_certificate_failure_exits_1(capsys, monkeypatch, command):
+    import scipy.linalg
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a, **kwargs: (a, 1))
+    code = main([command[0], "--n", "4", *command[1:]])
+    assert code == 1
+    assert "rank certificate failed" in capsys.readouterr().err
 
 
 def test_error_exit_code(capsys):

@@ -12,10 +12,10 @@ from darkcount.couplings import (
     sample_profile,
     uniform_profile,
 )
+from darkcount import darkspace
 from darkcount.darkspace import (
     DEFAULT_TOLERANCE,
     MERSENNE_31,
-    TolerancePolicy,
     _rumer_kernel,
     dark_subspace,
     null_basis,
@@ -92,26 +92,13 @@ def test_rank_nullity_sums_to_columns():
             assert rank_numeric(op) + ndark_formula(n, s) == comb(n, s)
 
 
-def test_tolerance_policy_override():
-    profile = uniform_profile(3, 1.0)
-    op = build_lowering_block(3, 1, profile)
-    # absurdly large absolute cutoff wipes out every singular value
-    policy = TolerancePolicy(absolute=100.0)
-    assert numeric_nullity(op, policy) == 3
-
-
 def test_nullity_report_margins():
     op = build_lowering_block(4, 3, sample_profile(4, DEFAULT_DISORDER, seed=0))
     report = {}
     assert numeric_nullity(op, report=report) == 0
     assert report["gauge_residual"] <= 1e-15
     assert report["kept_margin"] > 1e10
-    assert report["dropped_margin"] is None
-    # a cutoff above every singular value keeps none and drops all four
-    report = {}
-    assert rank_numeric(op, TolerancePolicy(absolute=100.0), report) == 0
-    assert report["kept_margin"] is None
-    assert 0 < report["dropped_margin"] < 1
+    assert set(report) == {"gauge_residual", "kept_margin"}
 
 
 def test_nullity_rejects_a_perturbed_entry():
@@ -152,44 +139,31 @@ def _equilibrated_svdvals(op, couplings):
 
 
 def _4g(x):
-    return None if x is None else float(f"{x:.4g}")
+    return float(f"{x:.4g}")
 
 
-# absolute=2.0 would sit on sigma = 2, an exact Gram eigenvalue, where rounding decides
-@pytest.mark.parametrize("policy", [DEFAULT_TOLERANCE, TolerancePolicy(absolute=1.7)],
-                         ids=["default", "absolute-1.7"])
-def test_rank_numeric_matches_svd_oracle(policy):
+def test_rank_numeric_matches_svd_oracle():
     for n in range(1, 12):
         for s in range(1, n + 1):
             profile = sample_profile(n, DEFAULT_DISORDER, seed=n + s)
             op = build_lowering_block(n, s, profile)
             sv = _equilibrated_svdvals(op, profile.values)
-            cutoff = policy.cutoff(sv[0], op.shape)
+            cutoff = DEFAULT_TOLERANCE.cutoff(sv[0], op.shape)
             rank = int(np.count_nonzero(sv > cutoff))
-            expected = {
-                "kept_margin": _4g(sv[rank - 1] / cutoff) if rank else None,
-                "dropped_margin": _4g(sv[rank] / cutoff) if rank < sv.size else None,
-            }
+            assert rank == min(op.shape), (n, s)
             report = {}
-            assert rank_numeric(op, policy, report) == rank, (n, s)
-            assert {k: _4g(report[k]) for k in expected} == expected, (n, s)
+            assert rank_numeric(op, DEFAULT_TOLERANCE, report) == rank, (n, s)
+            assert _4g(report["kept_margin"]) == _4g(sv[rank - 1] / cutoff), (n, s)
 
 
-def test_cholesky_breakdown_counts_from_the_spectrum(monkeypatch):
-    # at (8, 4) the Gram eigenvalues are 20, 12, 6 and 2, the last 28 times
-    calls = []
-    eigvalsh = scipy.linalg.eigvalsh
-    monkeypatch.setattr(scipy.linalg, "eigvalsh",
-                        lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs))
+def test_cholesky_breakdown_raises(monkeypatch):
+    def dpotrf(a, **kwargs):
+        return a, 1  # LAPACK's report of a non-positive leading minor of order 1
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", dpotrf)
     op = build_lowering_block(8, 4, sample_profile(8, DEFAULT_DISORDER, seed=0))
-    report = {}
-    assert rank_numeric(op, TolerancePolicy(absolute=1.7), report) == 28
-    assert calls  # sigma^2 = 2 < 1.7^2 breaks the factorization of G - tau I
-    assert report["kept_margin"] == pytest.approx(np.sqrt(6) / 1.7, rel=1e-12)
-    assert report["dropped_margin"] == pytest.approx(np.sqrt(2) / 1.7, rel=1e-12)
-    calls.clear()
-    assert rank_numeric(op, report=report) == 56
-    assert not calls  # the default cutoff is certified by the factorization alone
+    with pytest.raises(ValueError, match=r"\(8, 4\) rank certificate.*tau = .*pivot 1 of 56"):
+        rank_numeric(op)
 
 
 # -- null basis & projector ---------------------------------------------------
@@ -359,11 +333,12 @@ def test_null_basis_rejects_a_perturbed_entry():
         null_basis(bad)
 
 
-def test_null_basis_raises_when_a_vector_is_not_dark():
-    # a cutoff of 1e-300 leaves no room for the rounding of the batched residual
+def test_null_basis_raises_when_a_vector_is_not_dark(monkeypatch):
+    # a zero tolerance leaves no room for the rounding of the batched residual
+    monkeypatch.setattr(darkspace, "_dark_tolerance", lambda op, tol_policy: 0.0)
     op = build_lowering_block(6, 3, sample_profile(6, DEFAULT_DISORDER, seed=2))
     with pytest.raises(ValueError, match="dark vector"):
-        null_basis(op, TolerancePolicy(absolute=1e-300))
+        null_basis(op)
 
 
 def test_dark_subspace_zero_excitation_convention():
