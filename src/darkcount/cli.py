@@ -288,7 +288,7 @@ def cmd_darkbasis(args) -> dict:
         "n": n, "s": s, "nullity": sub.nullity, "formula": ndark_formula(n, s),
         "nullity_route": sub.nullity_route, **_margins({"qr_margin": sub.qr_margin}),
         "checks": checks, "profile": _profile_config(profile),
-        "basis": [[[a.real, a.imag] for a in v] for v in sub.basis],
+        "basis": sub.basis[..., None].view(np.float64).tolist(),  # [re, im] per amplitude
         "projector_diagonal": [float(x) for x in sub.diagonal()],
     }
     if not (checks["trace_matches_nullity"] and herm <= 1e-12 and idem <= 1e-10):
@@ -483,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest sector size for the exact F_p rank")
     _add_profile_flags(p)
     _add_common_flags(p)
-    p.set_defaults(func=cmd_count, format="json")
+    p.set_defaults(func=cmd_count)
 
     p = subs.add_parser("rank", help="rank of the lowering block, exact and/or numeric")
     p.add_argument("--n", type=int, required=True)
@@ -491,14 +491,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["modp", "numeric", "both"], default="modp")
     _add_profile_flags(p)
     _add_common_flags(p)
-    p.set_defaults(func=cmd_rank, format="json")
+    p.set_defaults(func=cmd_rank)
 
     p = subs.add_parser("darkbasis", help="orthonormal dark basis and projector")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     _add_profile_flags(p)
     _add_common_flags(p)
-    p.set_defaults(func=cmd_darkbasis, format="json")
+    p.set_defaults(func=cmd_darkbasis)
 
     p = subs.add_parser("protocol", help="exact null-emission probabilities and D(s)")
     p.add_argument("--n", type=int, required=True)
@@ -514,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10_000)
     _add_profile_flags(p)
     _add_common_flags(p)
-    p.set_defaults(func=cmd_montecarlo, format="json")
+    p.set_defaults(func=cmd_montecarlo)
 
     p = subs.add_parser("sweep", help="order parameter vs filling, with the limit curve")
     p.add_argument("--n-list", default="4,8,12,16,20")

@@ -188,9 +188,29 @@ def test_norms_match_full_space_exponential(n, s, superposed):
     stats = run_trajectories(cfg)
     h_eff = full_space_h_eff(cfg)
     psi0 = full_space_psi0(cfg)
-    for k in (1, 17, 300, 2048, 4096):
+    # 63, 64, 65, 4032 and 4095 sit on the edges of the 64-state blocks
+    for k in (1, 17, 63, 64, 65, 300, 2048, 4032, 4095, 4096):
         psi = expm(-1j * stats.norm_grid_times[k] * h_eff) @ psi0
         assert stats.norm_grid[k] == pytest.approx(np.vdot(psi, psi).real, abs=1e-10)
+    # reference walk: one full-space mat-vec per grid point, every point compared
+    step, psi, walked = expm(-1j * cfg.dt * h_eff), psi0, []
+    for _ in stats.norm_grid:
+        walked.append(np.vdot(psi, psi).real)
+        psi = step @ psi
+    assert np.abs(stats.norm_grid - walked).max() <= 1e-10
+
+
+@pytest.mark.parametrize("dark", [True, False], ids=["dark-superposition", "s0-one-state"])
+def test_norm_grid_all_ones_without_bright_weight(dark):
+    # the all-ground initial state (s = 0) is a 1 x 1 block: the doubling walks one row
+    profile = sample_profile(3, MILD, seed=2)
+    model = HamiltonianModel(3, profile, omega=1.0, n_photon_max=1)
+    sub = dark_subspace(3, 1, profile)
+    initial = PureState(sub.sector, sub.basis[0]) if dark else 0
+    stats = run_trajectories(standard_config(model, 100.0, initial=initial,
+                                             n_trajectories=10, seed=0))
+    assert stats.norm_grid.shape == (4097,)
+    assert np.abs(stats.norm_grid - 1.0).max() <= 1e-12
 
 
 def test_dark_superposition_immune_at_every_kappa():
