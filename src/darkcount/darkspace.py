@@ -12,7 +12,9 @@ orthonormal, does.  Two independent routes give the same integers:
   the eigenvalues of the Gram matrix of B's smaller side: Wilson's integers
   (s-i)(N-s+1-i) >= 1 however wide the disorder.  So one Cholesky
   factorization of the shifted Gram matrix certifies full rank (Sylvester's
-  law of inertia), and one that breaks down raises ValueError.  The
+  law of inertia), and one that breaks down raises ValueError.  The margin
+  over the cutoff takes two more triangular solves: a product of pair
+  singlets is an exact bottom eigenvector of that Gram matrix.  The
   couplings are read back off the block, so a block that is not in gauge
   form raises too.  The dark basis is Rumer's pairing
   basis of ker W scaled by |D_s|^{-1}, made orthonormal by one real QR; the
@@ -155,16 +157,34 @@ def _gauge(sector: SectorBasis, g: np.ndarray) -> np.ndarray:
     return np.prod(np.where(excited, g, 1.0), axis=1)
 
 
-def _smallest_eigenvalue(factor: np.ndarray) -> float:
-    """lambda_min of A = R^T R from its upper Cholesky factor R, estimated from above.
+def _singlet_product(sector: SectorBasis) -> np.ndarray:
+    """Unit product of the singlets on qubit pairs (1, 2), (3, 4), ... in the (N, m) sector.
 
-    Inverse iteration from e_0, which meets every eigenspace of the Gram
-    matrices here (the all-ones vector is their top eigenvector), until the
-    Rayleigh quotient of A^{-1} settles to 1e-12.  Wilson's two smallest
-    eigenvalues are more than a factor 2 apart, so a few dozen solves do.
+    k = min(m, N-m) pairs, every other qubit ground (2m <= N) or excited:
+    entry (-1)^|c| on each pattern sum_j 2^(2j+c_j), c in {0,1}^k, complemented
+    when 2m > N.  Its total spin S = |S^z| is the least the sector holds, so
+    it is an exact bottom eigenvector of both Gram matrices of W, S^- S^+ on
+    the (s-1)-subsets and S^+ S^- on the s-subsets; on the smaller side the
+    eigenvalue is |N - 2m|.
     """
-    x, mu = np.zeros(factor.shape[0]), 0.0
-    x[0] = 1.0
+    n, m = sector.n_qubits, sector.n_excited
+    k = min(m, n - m)
+    choice = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.uint64)
+    patterns = (np.uint64(1) << 2 * np.arange(k, dtype=np.uint64) + choice).sum(axis=1)
+    if 2 * m > n:
+        patterns ^= np.uint64((1 << n) - 1)
+    x = np.zeros(sector.size)
+    x[np.searchsorted(sector.states, patterns)] = 1.0 - 2.0 * (choice.sum(axis=1) % 2)
+    return x / np.sqrt(1 << k)
+
+
+def _smallest_eigenvalue(factor: np.ndarray, start: np.ndarray) -> float:
+    """lambda_min of A = R^T R from its upper Cholesky factor R.
+
+    Inverse iteration until the Rayleigh quotient of A^{-1} settles to 1e-12.
+    From an exact bottom eigenvector ``start`` two solves do, exact to rounding.
+    """
+    x, mu = start, 0.0
     for _ in range(100):
         y = scipy.linalg.cho_solve((factor, False), x, check_finite=False)
         mu_prev, mu = mu, float(x @ y)
@@ -192,8 +212,8 @@ def rank_numeric(
     sigma^2 exceeds tau (Sylvester), so the rank is min(m, n).  One that
     breaks down raises ValueError naming the sector, tau and the failing
     pivot.  A ``report`` dict, if given, receives ``gauge_residual`` and
-    ``kept_margin``, the smallest singular value over the cutoff, estimated
-    from above by inverse iteration on the factor.
+    ``kept_margin``, the smallest singular value over the cutoff, by inverse
+    iteration on the factor from :func:`_singlet_product` of G's side.
     """
     g, coo = _read_couplings(op)
     with np.errstate(all="ignore"):  # a product out of range shows in the residual
@@ -205,7 +225,7 @@ def rank_numeric(
             f"{residual:.3e} over {tol_policy.relative(op.shape):.3e}"
         )
     b = sp.csr_matrix((scaled.real, (coo.row, coo.col)), shape=op.shape)
-    gram = b @ b.T if op.shape[0] <= op.shape[1] else b.T @ b
+    side, gram = (op.target, b @ b.T) if op.shape[0] <= op.shape[1] else (op.source, b.T @ b)
     norm1 = float(abs(gram).sum(axis=0).max())
     cutoff = tol_policy.cutoff(np.sqrt(norm1), op.shape)
     tau = max(cutoff**2, tol_policy.relative(gram.shape) * norm1)
@@ -219,7 +239,7 @@ def rank_numeric(
             f"pivot {info} of {gram.shape[0]}"
         )
     if report is not None:
-        kept = np.sqrt(_smallest_eigenvalue(factor) + tau)
+        kept = np.sqrt(_smallest_eigenvalue(factor, _singlet_product(side)) + tau)
         report.update(gauge_residual=residual, kept_margin=float(kept / cutoff))
     return gram.shape[0]
 

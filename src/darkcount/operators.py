@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from .couplings import CouplingProfile
 from .sector import SectorBasis, enumerate_sector
 
-S_SQUARED_MAX_QUBITS = 10  # dense 2^N diagonalization
+S_SQUARED_MAX_QUBITS = 10  # a dense 2^N x 2^N result, 8 MB at the cap
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,26 +164,18 @@ def single_excitation_dark_states(profile: CouplingProfile) -> list[PureState]:
 def total_s_squared(n_qubits: int) -> np.ndarray:
     """Dense S_tot . S_tot over the full 2^N product basis.
 
-    Built as Sz^2 + (S+ S- + S- S+)/2 from the collective ladder operators;
-    eigenvalues come out as S(S+1).  Dense diagonalization is the point here,
-    so the register size is capped.
+    Built as Sz^2 + (S+ S- + S- S+)/2 by sparse products of the collective
+    ladder operators (N 2^(N-1) unit entries each), densified once; every
+    entry is a multiple of 1/4, so exact.  Eigenvalues come out as S(S+1).
+    The oracle diagonalizes its sector blocks densely, so N is capped.
     """
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
     if n_qubits > S_SQUARED_MAX_QUBITS:
         raise ValueError(f"n_qubits={n_qubits} exceeds the dense cap of {S_SQUARED_MAX_QUBITS}")
-    dim = 1 << n_qubits
-    sz = np.zeros(dim)
-    for m in range(dim):
-        sz[m] = m.bit_count() - n_qubits / 2.0
-    splus = np.zeros((dim, dim))
-    for m in range(dim):
-        for i in range(n_qubits):
-            if not m >> i & 1:
-                splus[m | (1 << i), m] = 1.0
-    sminus = splus.T
-    s2 = np.diag(sz**2) + 0.5 * (splus @ sminus + sminus @ splus)
-    return s2
+    lower = _collective_lowering_full(n_qubits, np.ones(n_qubits)).real
+    sz = lower.sum(axis=0).A1 - n_qubits / 2.0  # column x holds one entry per excited qubit
+    return (sp.diags(sz**2) + 0.5 * (lower @ lower.T + lower.T @ lower)).toarray()
 
 
 @dataclass(frozen=True)

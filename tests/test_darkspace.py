@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from darkcount.couplings import (
     DEFAULT_DISORDER,
@@ -29,6 +30,7 @@ from darkcount.operators import (
     PureState,
     SectorOperator,
     build_lowering_block,
+    inclusion_pattern,
     single_excitation_dark_states,
 )
 from darkcount.sector import enumerate_sector
@@ -164,6 +166,57 @@ def test_cholesky_breakdown_raises(monkeypatch):
     op = build_lowering_block(8, 4, sample_profile(8, DEFAULT_DISORDER, seed=0))
     with pytest.raises(ValueError, match=r"\(8, 4\) rank certificate.*tau = .*pivot 1 of 56"):
         rank_numeric(op)
+
+
+def test_margin_takes_two_solves(monkeypatch):
+    calls = []
+    cho_solve = scipy.linalg.cho_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cho_solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve", counted)
+    for n, s in ((12, 6), (9, 6)):  # the (s-1)-subset side, then the s-subset side
+        calls.clear()
+        rank_numeric(build_lowering_block(n, s, sample_profile(n, DEFAULT_DISORDER, seed=0)),
+                     report={})
+        assert len(calls) <= 3, (n, s, len(calls))
+
+
+def test_singlet_product_is_a_bottom_eigenvector_on_both_sides():
+    for n, s in ((4, 2), (5, 3), (7, 5), (6, 5), (5, 1), (6, 6)):
+        source, target, indptr, rows, _ = inclusion_pattern(n, s)
+        w = sp.csc_matrix((np.ones(rows.size), rows, indptr), shape=(target.size, source.size))
+        for side, gram in ((target, (w @ w.T).toarray()), (source, (w.T @ w).toarray())):
+            x = darkspace._singlet_product(side)
+            assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-15)
+            eigvals = np.linalg.eigvalsh(gram)
+            residual = np.linalg.norm(gram @ x - eigvals[0] * x) / eigvals[-1]
+            assert residual <= 1e-12, (n, s, side.n_excited)
+
+
+def test_kept_margin_matches_inverse_iteration_from_e0(monkeypatch):
+    def from_e0(factor, start):
+        x, mu = np.zeros(factor.shape[0]), 0.0
+        x[0] = 1.0
+        for _ in range(100):
+            y = scipy.linalg.cho_solve((factor, False), x, check_finite=False)
+            mu_prev, mu = mu, float(x @ y)
+            x = y / np.linalg.norm(y)
+            if abs(mu - mu_prev) <= 1e-12 * mu:
+                break
+        return 1.0 / mu
+
+    for n, s in ((9, 4), (8, 6), (10, 5), (11, 7)):
+        for seed in (0, 1):
+            op = build_lowering_block(n, s, sample_profile(n, DEFAULT_DISORDER, seed=seed))
+            report, reference = {}, {}
+            rank_numeric(op, report=report)
+            with monkeypatch.context() as m:
+                m.setattr(darkspace, "_smallest_eigenvalue", from_e0)
+                rank_numeric(op, report=reference)
+            assert _4g(report["kept_margin"]) == _4g(reference["kept_margin"]), (n, s, seed)
 
 
 # -- null basis & projector ---------------------------------------------------

@@ -179,6 +179,26 @@ def test_s_squared_sector_restriction_counts_singlets():
     assert np.count_nonzero(np.abs(eigvals) < 1e-9) == 2
 
 
+def loop_s_squared(n_qubits):
+    """Reference: S^+ filled entry by entry, then two dense products."""
+    dim = 1 << n_qubits
+    sz = np.zeros(dim)
+    for m in range(dim):
+        sz[m] = m.bit_count() - n_qubits / 2.0
+    splus = np.zeros((dim, dim))
+    for m in range(dim):
+        for i in range(n_qubits):
+            if not m >> i & 1:
+                splus[m | (1 << i), m] = 1.0
+    sminus = splus.T
+    return np.diag(sz**2) + 0.5 * (splus @ sminus + sminus @ splus)
+
+
+def test_s_squared_matches_loop_reference():
+    for n in range(1, 9):
+        assert np.array_equal(total_s_squared(n), loop_s_squared(n)), n
+
+
 def test_s_squared_cap():
     with pytest.raises(ValueError):
         total_s_squared(11)
