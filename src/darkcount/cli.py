@@ -39,11 +39,10 @@ from .darkspace import (
     DEFAULT_TOLERANCE,
     MERSENNE_31,
     dark_subspace,
-    projector,
     rank_exact_modp,
     rank_numeric,
 )
-from .operators import S_SQUARED_MAX_QUBITS, HamiltonianModel, build_lowering_block
+from .operators import S_SQUARED_SECTOR_CAP, HamiltonianModel, build_lowering_block
 from .protocol import (
     BASIS_BYTES_CAP,
     dark_basis_bytes,
@@ -126,7 +125,10 @@ def _margins(report: dict) -> dict:
 def _profile_from_args(args, n_qubits: int) -> CouplingProfile:
     """Build the coupling profile from the flags of ``_add_profile_flags``."""
     if args.profile_json:
-        return profile_from_json(Path(args.profile_json).read_text())
+        profile = profile_from_json(Path(args.profile_json).read_text())
+        if profile.n_qubits != n_qubits:
+            raise ValueError(f"--profile-json has {profile.n_qubits} couplings for --n {n_qubits}")
+        return profile
     if args.uniform is not None:
         return uniform_profile(n_qubits, args.uniform)
     spec = DISORDER_PRESETS[args.disorder]
@@ -196,10 +198,10 @@ def cmd_count(args) -> dict:
         else:
             methods["numeric"] = {"ran": False, "why": f"sector size {size} over cap"}
 
-        if n <= S_SQUARED_MAX_QUBITS:
+        if size <= S_SQUARED_SECTOR_CAP:
             methods["oracle"] = {"ran": True, "value": count_dark_uniform_oracle(n, s)}
         else:
-            methods["oracle"] = {"ran": False, "why": f"N {n} over dense cap"}
+            methods["oracle"] = {"ran": False, "why": f"sector size {size} over dense S^2 cap"}
 
         if s == 0:
             methods["exact_modp"] = {
@@ -268,19 +270,19 @@ def cmd_rank(args) -> dict:
 
 def cmd_darkbasis(args) -> dict:
     n, s = args.n, args.s
-    nbytes = 16 * comb(n, s) ** 2  # each of the complex dim x dim projector and p @ p
+    nbytes = 2 * dark_basis_bytes(n, s)  # the basis is held and printed complex
     if nbytes > BASIS_BYTES_CAP:
-        raise ValueError(f"the ({n}, {s}) dense projector takes {nbytes >> 20} MiB, "
+        raise ValueError(f"the ({n}, {s}) complex dark basis takes {nbytes >> 20} MiB, "
                          f"over BASIS_BYTES_CAP of {BASIS_BYTES_CAP >> 20} MiB")
     profile = _profile_from_args(args, n)
     sub = dark_subspace(n, s, profile)
-    p = projector(sub)
-    herm = float(np.abs(p - p.conj().T).max()) if p.size else 0.0
-    idem = float(np.abs(p @ p - p).max()) if p.size else 0.0
-    trace = float(np.real(np.trace(p)))
+    # P = diag(phases) Q^T Q diag(phases)^* is Hermitian; it is idempotent iff Q Q^T = I
+    q = sub.real_basis
+    ortho = float(np.abs(q @ q.T - np.eye(sub.nullity)).max()) if q.size else 0.0
+    diagonal = sub.diagonal()
+    trace = float(diagonal.sum())
     checks = {
-        "projector_hermitian_max_dev": herm,
-        "projector_idempotent_max_dev": idem,
+        "basis_orthonormal_max_dev": ortho,
         "trace": trace,
         "trace_matches_nullity": abs(trace - sub.nullity) <= 1e-9,
     }
@@ -289,9 +291,9 @@ def cmd_darkbasis(args) -> dict:
         "nullity_route": sub.nullity_route, **_margins({"qr_margin": sub.qr_margin}),
         "checks": checks, "profile": _profile_config(profile),
         "basis": sub.basis[..., None].view(np.float64).tolist(),  # [re, im] per amplitude
-        "projector_diagonal": [float(x) for x in sub.diagonal()],
+        "projector_diagonal": diagonal.tolist(),
     }
-    if not (checks["trace_matches_nullity"] and herm <= 1e-12 and idem <= 1e-10):
+    if not (checks["trace_matches_nullity"] and ortho <= 1e-10):
         raise ConsistencyError(f"dark basis failed self-checks: {checks}", record)
     return record
 
@@ -493,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.set_defaults(func=cmd_rank)
 
-    p = subs.add_parser("darkbasis", help="orthonormal dark basis and projector")
+    p = subs.add_parser("darkbasis", help="orthonormal dark basis and projector diagonal")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     _add_profile_flags(p)

@@ -2,7 +2,8 @@
 
 All counting is exact integer / rational arithmetic; floats appear only when
 rendering.  The angular-momentum oracle recounts dark states from scratch by
-diagonalizing total spin in the uniform limit, independent of the formula.
+diagonalizing total spin on the s-sector in the uniform limit, independent
+of the formula and of the lowering blocks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from math import comb
 import numpy as np
 
 from .operators import total_s_squared
-from .sector import enumerate_sector
 
 
 def ndark_formula(n_qubits: int, n_excited: int) -> int:
@@ -61,20 +61,18 @@ def thermodynamic_order(alpha: float) -> float:
 def count_dark_uniform_oracle(n_qubits: int, n_excited: int) -> int:
     """Count dark states by total-spin diagonalization in the uniform limit.
 
-    Restricts S_tot.S_tot to the s-sector and counts eigenvalues S(S+1) with
-    S = N/2 - s, i.e. states whose magnetization sits at its minimum -S.
-    Above half filling that S would be negative, so the count is zero.
-    Independent of the counting formula; used to cross-check it.  Below half
-    filling, ``total_s_squared`` caps the register.
+    Diagonalizes the s-sector block of S_tot.S_tot, built from the sector's
+    patterns alone, and counts eigenvalues S(S+1) with S = N/2 - s, i.e.
+    states whose magnetization sits at its minimum -S.  Above half filling
+    that S would be negative, so the count is zero.  Independent of the
+    counting formula and of the lowering blocks; used to cross-check them.
+    Below half filling, ``total_s_squared`` caps the sector size.
     """
     if not 0 <= n_excited <= n_qubits:
         raise ValueError(f"n_excited must lie in [0, {n_qubits}], got {n_excited}")
     if 2 * n_excited > n_qubits:
         return 0
-    s2 = total_s_squared(n_qubits)
-    idx = enumerate_sector(n_qubits, n_excited).states
-    block = s2[np.ix_(idx, idx)]
-    eigvals = np.linalg.eigvalsh(block)
+    eigvals = np.linalg.eigvalsh(total_s_squared(n_qubits, n_excited))
     spin = n_qubits / 2.0 - n_excited
     target = spin * (spin + 1.0)
     return int(np.count_nonzero(np.abs(eigvals - target) < 1e-6))

@@ -129,9 +129,12 @@ def profile_to_json(profile: CouplingProfile) -> str:
 
 def profile_from_json(text: str) -> CouplingProfile:
     """Inverse of :func:`profile_to_json`; also accepts a bare list of pairs."""
-    obj = json.loads(text)
-    if isinstance(obj, list):
-        pairs, label = obj, "imported"
-    else:
-        pairs, label = obj["couplings"], obj.get("label", "imported")
-    return CouplingProfile(values=tuple(complex(re, im) for re, im in pairs), label=label)
+    obj, label = json.loads(text), "imported"
+    if isinstance(obj, dict):
+        obj, label = obj.get("couplings"), obj.get("label", label)
+    try:
+        values = tuple(complex(re, im) for re, im in obj)
+    except (TypeError, ValueError):
+        raise ValueError("a coupling profile is a list of (re, im) number pairs "
+                         "or an object whose 'couplings' key holds one") from None
+    return CouplingProfile(values=values, label=label)

@@ -16,9 +16,9 @@ orthonormal, does.  Two independent routes give the same integers:
   over the cutoff takes two more triangular solves: a product of pair
   singlets is an exact bottom eigenvector of that Gram matrix.  The
   couplings are read back off the block, so a block that is not in gauge
-  form raises too.  The dark basis is Rumer's pairing
-  basis of ker W scaled by |D_s|^{-1}, made orthonormal by one real QR; the
-  coupling phases go back on only where the vectors themselves are read;
+  form raises too.  The dark basis is Rumer's pairing basis of ker W scaled
+  by |D_s|^{-1}, made orthonormal by one real QR, whose rows alone give the
+  projector's diagonal and trace; the phases go on only where vectors are read;
 * an exact route over F_p, where rank L_g = rank W as well.  The rank is
   certified by showing that the Gram matrix of W is invertible mod p:
   Wilson's eigenvalues (s-i)(N-s+1-i) give a polynomial q, and q(G) e_0 = 0
@@ -333,7 +333,7 @@ def dark_subspace(n_qubits: int, n_excited: int, profile: CouplingProfile) -> Da
 
 
 def projector(sub: DarkSubspace) -> np.ndarray:
-    """The dense dim x dim dark projector of ``sub``, from one real GEMM; zero if bright."""
+    """Dense dim x dim dark projector of ``sub``, zero if bright; kept for the tracer, no CLI use."""
     return (sub.real_basis.T @ sub.real_basis) * np.outer(sub.phases, sub.phases.conj())
 
 

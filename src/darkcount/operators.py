@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from .couplings import CouplingProfile
 from .sector import SectorBasis, enumerate_sector
 
-S_SQUARED_MAX_QUBITS = 10  # a dense 2^N x 2^N result, 8 MB at the cap
+S_SQUARED_SECTOR_CAP = 924  # C(12, 6) states: a dense block whose eigvalsh takes ~0.06 s
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,21 +161,22 @@ def single_excitation_dark_states(profile: CouplingProfile) -> list[PureState]:
     return states
 
 
-def total_s_squared(n_qubits: int) -> np.ndarray:
-    """Dense S_tot . S_tot over the full 2^N product basis.
+def total_s_squared(n_qubits: int, n_excited: int) -> np.ndarray:
+    """Dense S_tot . S_tot on the (N, s) sector, C(N, s) x C(N, s), exact.
 
-    Built as Sz^2 + (S+ S- + S- S+)/2 by sparse products of the collective
-    ladder operators (N 2^(N-1) unit entries each), densified once; every
-    entry is a multiple of 1/4, so exact.  Eigenvalues come out as S(S+1).
-    The oracle diagonalizes its sector blocks densely, so N is capped.
+    (S^z)^2 = (s - N/2)^2 and (S^+ S^- + S^- S^+)/2 = N/2 + sum_{i != j} S_i^+ S_j^-,
+    whose flip-flops join the patterns x, y with |x & y| = s - 1; nothing of
+    size 2^N is formed.  Eigenvalues come out as S(S+1).  The oracle
+    diagonalizes the block densely, so its size is capped.
     """
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    if n_qubits > S_SQUARED_MAX_QUBITS:
-        raise ValueError(f"n_qubits={n_qubits} exceeds the dense cap of {S_SQUARED_MAX_QUBITS}")
-    lower = _collective_lowering_full(n_qubits, np.ones(n_qubits)).real
-    sz = lower.sum(axis=0).A1 - n_qubits / 2.0  # column x holds one entry per excited qubit
-    return (sp.diags(sz**2) + 0.5 * (lower @ lower.T + lower.T @ lower)).toarray()
+    states = enumerate_sector(n_qubits, n_excited).states
+    if states.size > S_SQUARED_SECTOR_CAP:
+        raise ValueError(f"the ({n_qubits}, {n_excited}) sector holds {states.size} states, "
+                         f"over the dense S^2 cap of {S_SQUARED_SECTOR_CAP}")
+    excited = (states[:, None] >> np.arange(n_qubits, dtype=np.uint64) & 1).astype(np.float64)
+    s2 = (excited @ excited.T == n_excited - 1).astype(np.float64)  # overlaps are small integers
+    np.fill_diagonal(s2, (n_excited - n_qubits / 2.0) ** 2 + n_qubits / 2.0)
+    return s2
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ arrangements of s excitations traces the projector, so the total is the
 dark-state count itself, whatever the couplings.  The gauge
 L_g = D_{s-1}^{-1} W D_s makes the dark space D_s^{-1} ker W, so the
 probabilities are the squared row norms of one real QR of the scaled Rumer
-basis of ker W; the coupling phases drop out.  No dim x dim projector is
-formed: the largest dense object is that real dim x nullity Q.  A Bernoulli
-sampler emulates the finite-statistics experiment.
+basis of ker W; the coupling phases drop out.  No CLI path forms the dim x
+dim projector; the real dim x nullity Q (complex in ``darkbasis``) is the
+largest dense object.  A Bernoulli sampler emulates finite statistics.
 """
 
 from __future__ import annotations

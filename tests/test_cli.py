@@ -47,13 +47,16 @@ def test_count_large_sector_formula_with_skips(capsys):
     assert payload["data"]["all_agree"]
 
 
-@pytest.mark.parametrize("n,s", [(23, 2), (23, 21), (24, 1)])
+@pytest.mark.parametrize("n,s", [(23, 2), (23, 21), (24, 1), (64, 1)])
 def test_count_past_22_qubits_runs_the_exact_route(capsys, n, s):
     payload = run_json(capsys, "count", "--n", str(n), "--s", str(s))
     result = payload["data"]["results"][0]
     assert result["methods"]["exact_modp"]["ran"]
     assert result["methods"]["exact_modp"]["value"] == result["formula"]
     assert result["methods"]["numeric"]["value"] == result["formula"]
+    # the S^2 oracle is capped by sector size, not by the 2^N register
+    assert result["methods"]["oracle"]["ran"]
+    assert result["methods"]["oracle"]["value"] == result["formula"]
     assert payload["data"]["all_agree"]
 
 
@@ -162,6 +165,26 @@ def test_darkbasis_refuses_a_projector_over_the_cap(capsys):
     assert code == 1
     assert time.perf_counter() - start < 5.0  # refused before any work
     assert "BASIS_BYTES_CAP" in capsys.readouterr().err
+
+
+def test_darkbasis_fails_on_rows_that_are_not_orthonormal(capsys, monkeypatch):
+    import dataclasses
+
+    from darkcount import cli
+
+    original = cli.dark_subspace
+
+    def skewed(n, s, profile):
+        sub = original(n, s, profile)
+        rows = sub.real_basis.copy()
+        rows[0] *= 1 + 1e-6
+        return dataclasses.replace(sub, real_basis=rows)
+
+    monkeypatch.setattr(cli, "dark_subspace", skewed)
+    code, out = run_cli(capsys, "darkbasis", "--n", "6", "--s", "3")
+    assert code == 2
+    checks = json.loads(out)["data"]["checks"]
+    assert checks["basis_orthonormal_max_dev"] > 1e-10
 
 
 def test_darkbasis_self_checks(capsys):
@@ -455,6 +478,16 @@ def test_profile_json_import(capsys, tmp_path):
     diag = payload["data"]["projector_diagonal"]
     assert diag[0] == pytest.approx(0.8)  # |(-2,1)/sqrt(5)|^2 on |e_1>
     assert diag[1] == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("command", ["count", "darkbasis"])
+def test_profile_json_of_another_length_is_refused(capsys, tmp_path, command):
+    path = tmp_path / "profile.json"
+    path.write_text('[[1.0, 0.0], [2.0, 0.0]]')
+    code = main([command, "--n", "4", "--s", "0", "--profile-json", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "2 couplings for --n 4" in captured.err
 
 
 def test_schema_version_present(capsys):

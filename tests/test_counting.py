@@ -93,7 +93,7 @@ def test_oracle_equals_formula(n):
 
 def test_oracle_cap():
     with pytest.raises(ValueError, match="cap"):
-        count_dark_uniform_oracle(11, 2)
+        count_dark_uniform_oracle(13, 6)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])

@@ -84,3 +84,10 @@ def test_json_round_trip():
     assert again.values == prof.values
     bare = profile_from_json("[[1.0, 0.0], [0.5, -0.25]]")
     assert bare.values == (1.0 + 0j, 0.5 - 0.25j)
+
+
+@pytest.mark.parametrize("text", ['{"label": "no couplings"}', "3.0", "[1, 2]", "[[1.0]]",
+                                  '{"couplings": 5}', '[["1", 0]]'])
+def test_json_that_is_not_a_list_of_pairs_is_refused(text):
+    with pytest.raises(ValueError, match="couplings"):
+        profile_from_json(text)

@@ -311,23 +311,26 @@ def test_projector_diagonal_is_matrix_diagonal(n, s):
     assert np.abs(diag - np.real(np.diag(projector(sub)))).max(initial=0.0) <= 1e-14
 
 
-def test_protocol_paths_never_form_the_dense_projector(monkeypatch, capsys):
+def test_cli_paths_never_form_the_dense_projector(monkeypatch, capsys):
     import sys
 
     from darkcount.cli import main
-    from darkcount.protocol import measure_d, monte_carlo_protocol
 
-    def dense(sub):
-        pytest.fail("the dense dim x dim projector was formed")
+    def dense(*args):
+        pytest.fail("a dense dim x dim projector or 2^N x 2^N operator was formed")
 
     for name, module in list(sys.modules.items()):  # every binding, as a tracer would
-        if name.startswith("darkcount") and hasattr(module, "projector"):
-            monkeypatch.setattr(module, "projector", dense)
-    profile = sample_profile(6, DEFAULT_DISORDER, seed=1)
-    assert measure_d(6, 3, profile).d_of_s == pytest.approx(5.0, abs=1e-9)
-    monte_carlo_protocol(6, 3, profile, trials=100, seed=0)
-    assert main(["trajectory", "--n", "4", "--s", "2", "--trajectories", "50"]) == 0
-    assert "projector_expectation" in capsys.readouterr().out
+        for attr in ("projector", "_collective_lowering_full"):
+            if name.startswith("darkcount") and hasattr(module, attr):
+                monkeypatch.setattr(module, attr, dense)
+    for argv in (
+        "count --n 6 --s 3", "rank --n 6 --s 3 --method both", "protocol --n 6 --s 3",
+        "montecarlo --n 6 --s 3 --trials 100", "darkbasis --n 6 --s 3",
+        "sweep --n-list 3,4", "trajectory --n 4 --s 2 --trajectories 50",
+    ):
+        assert main([*argv.split(), "--seed", "1"]) == 0, argv
+        out = capsys.readouterr().out
+    assert "projector_expectation" in out  # trajectory read the dark weight
 
 
 def _mp_dark_diagonal(op):

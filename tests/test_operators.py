@@ -164,18 +164,15 @@ def test_dark_states_are_sz_eigenvectors():
 
 
 def test_s_squared_small_systems():
-    s2 = total_s_squared(1)
-    assert np.allclose(s2, 0.75 * np.eye(2))
-    eig2 = np.linalg.eigvalsh(total_s_squared(2))
-    assert np.allclose(sorted(eig2), [0.0, 2.0, 2.0, 2.0], atol=1e-12)
+    for s in (0, 1):
+        assert np.array_equal(total_s_squared(1, s), [[0.75]])
+    assert np.array_equal(total_s_squared(2, 0), [[2.0]])
+    eig2 = np.linalg.eigvalsh(total_s_squared(2, 1))
+    assert np.allclose(eig2, [0.0, 2.0], atol=1e-12)
 
 
 def test_s_squared_sector_restriction_counts_singlets():
-    s2 = total_s_squared(4)
-    basis = enumerate_sector(4, 2)
-    idx = np.array(basis.states)
-    block = s2[np.ix_(idx, idx)]
-    eigvals = np.linalg.eigvalsh(block)
+    eigvals = np.linalg.eigvalsh(total_s_squared(4, 2))
     assert np.count_nonzero(np.abs(eigvals) < 1e-9) == 2
 
 
@@ -196,12 +193,17 @@ def loop_s_squared(n_qubits):
 
 def test_s_squared_matches_loop_reference():
     for n in range(1, 9):
-        assert np.array_equal(total_s_squared(n), loop_s_squared(n)), n
+        full = loop_s_squared(n)
+        for s in range(n + 1):
+            idx = enumerate_sector(n, s).states
+            assert np.array_equal(total_s_squared(n, s), full[np.ix_(idx, idx)]), (n, s)
 
 
 def test_s_squared_cap():
-    with pytest.raises(ValueError):
-        total_s_squared(11)
+    assert total_s_squared(12, 6).shape == (924, 924)
+    assert total_s_squared(64, 1).shape == (64, 64)
+    with pytest.raises(ValueError, match="cap"):
+        total_s_squared(13, 6)
 
 
 # -- Hamiltonian --------------------------------------------------------------
