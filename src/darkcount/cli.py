@@ -46,6 +46,7 @@ from .operators import S_SQUARED_SECTOR_CAP, HamiltonianModel, build_lowering_bl
 from .protocol import (
     BASIS_BYTES_CAP,
     dark_basis_bytes,
+    diagonal_fits,
     measure_d,
     monte_carlo_protocol,
     null_emission_probability,
@@ -401,7 +402,7 @@ def cmd_trajectory(args) -> dict | str:
     }
 
     expectation = None
-    if dark_basis_bytes(n, s) <= BASIS_BYTES_CAP:
+    if diagonal_fits(n, s):
         expectation = null_emission_probability(initial, dark_subspace(n, s, profile))
         data["projector_expectation"] = expectation
 

@@ -17,8 +17,11 @@ orthonormal, does.  Two independent routes give the same integers:
   singlets is an exact bottom eigenvector of that Gram matrix.  The
   couplings are read back off the block, so a block that is not in gauge
   form raises too.  The dark basis is Rumer's pairing basis of ker W scaled
-  by |D_s|^{-1}, made orthonormal by one real QR, whose rows alone give the
-  projector's diagonal and trace; the phases go on only where vectors are read;
+  by |D_s|^{-1}, a sparse K checked exactly by W K_int^T = 0 on its +-1
+  signs.  With L the Cholesky factor of K K^T, triangular solves on column
+  blocks of K give the squared row norms of Q = K^T L^{-T}, the projector's
+  diagonal, with no dim x nullity array; the phases go on only where
+  vectors are read;
 * an exact route over F_p, where rank L_g = rank W as well.  The rank is
   certified by showing that the Gram matrix of W is invertible mod p:
   Wilson's eigenvalues (s-i)(N-s+1-i) give a polynomial q, and q(G) e_0 = 0
@@ -84,38 +87,60 @@ class TolerancePolicy:
 DEFAULT_TOLERANCE = TolerancePolicy()
 
 
+COLUMN_BLOCK_BYTES = 16 << 20  # what one block of a blocked product may take
+
+
+def _blocks(count: int, row_bytes: int) -> list[slice]:
+    """Slices of ``count`` rows, each block at most COLUMN_BLOCK_BYTES at ``row_bytes`` a row."""
+    step = max(1, COLUMN_BLOCK_BYTES // max(row_bytes, 1))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
 @dataclass(frozen=True, eq=False)
 class DarkSubspace:
     """Orthonormal basis of the null space of a lowering block (cavity empty).
 
-    The gauge makes the basis real up to one unit phase per arrangement: the
-    dark vectors are the rows of ``basis`` (nullity x dim), formed on read
-    as ``real_basis * phases``.  The dark projector is
-    P = diag(phases) Q^T Q diag(phases)^* for the real rows Q, and its
-    diagonal, the null-emission probability of each arrangement, is the
-    squared column norms of Q: O(nullity dim), with no dim x dim matrix.
-    ``nullity_route`` names how the nullity was obtained (the
+    The gauge makes the basis real up to one unit phase per arrangement.  It
+    is held as the sparse scaled Rumer basis ``rumer`` K (unit rows) and the
+    lower Cholesky factor ``factor`` L of K K^T: the real rows Q^T = L^{-1} K,
+    formed once on read as ``real_basis``, are the Q of a QR of K^T up to
+    signs, and the dark vectors are the rows of ``real_basis * phases``.
+    The projector's diagonal, the null-emission probability of each
+    arrangement, is the squared row norms of Q, streamed over column blocks
+    of K.  ``nullity_route`` names how the nullity was obtained (the
     :func:`rank_exact_modp` route, or "convention" at s = 0) and
-    ``qr_margin`` is the smallest |R_jj| of the QR over its cutoff.
+    ``qr_margin`` is the smallest |L_jj| over its cutoff.
     """
 
     sector: SectorBasis
-    real_basis: np.ndarray
+    rumer: sp.csc_matrix
+    factor: np.ndarray
     phases: np.ndarray
     nullity_route: str
     qr_margin: float | None
 
     @property
     def nullity(self) -> int:
-        return self.real_basis.shape[0]
+        return self.factor.shape[0]
+
+    def _q_rows(self, rows: slice) -> np.ndarray:
+        """Rows of Q = K^T L^{-T}: one dtrsm, in place on the dense block of K^T."""
+        block = self.rumer[:, rows].T.toarray(order="F")
+        return scipy.linalg.blas.dtrsm(1.0, self.factor, block, side=1, lower=1, trans_a=1,
+                                       overwrite_b=1)
+
+    @functools.cached_property
+    def real_basis(self) -> np.ndarray:
+        return self._q_rows(slice(None)).T
 
     @functools.cached_property
     def basis(self) -> np.ndarray:
         return self.real_basis * self.phases
 
     def diagonal(self) -> np.ndarray:
-        """The projector's diagonal: the squared column norms of the real rows."""
-        return np.einsum("ji,ji->i", self.real_basis, self.real_basis)
+        """The projector's diagonal: the squared row norms of Q, one column block at a time."""
+        blocks = _blocks(self.sector.size, 8 * self.nullity)
+        return np.concatenate([np.einsum("ij,ij->i", q, q) for q in map(self._q_rows, blocks)])
 
 
 def _read_couplings(op: SectorOperator) -> tuple[np.ndarray, sp.coo_matrix]:
@@ -278,46 +303,75 @@ def _rumer_kernel(n_qubits: int, n_excited: int) -> tuple[np.ndarray, np.ndarray
     return patterns, signs
 
 
+def _inclusion_matrix(n_qubits: int, n_excited: int) -> sp.csc_matrix:
+    """W in int64, from :func:`~darkcount.operators.inclusion_pattern`."""
+    _, target, indptr, rows, _ = inclusion_pattern(n_qubits, n_excited)
+    return sp.csc_matrix((np.ones(rows.size, dtype=np.int64), rows, indptr),
+                         shape=(target.size, indptr.size - 1))
+
+
+def _witness(n_qubits: int, n_excited: int, cols: np.ndarray, signs: np.ndarray) -> int:
+    """Nonzero entries of W K_int^T, for the +-1 Rumer signs K_int on ``cols``; 0 on ker W."""
+    w, (count, width) = _inclusion_matrix(n_qubits, n_excited), cols.shape
+    k_int = sp.csr_matrix((np.resize(signs, cols.size).astype(np.int64), cols.ravel(),
+                           np.arange(0, cols.size + 1, width)), shape=(count, w.shape[1]))
+    return sum((w @ k_int[rows].T).count_nonzero()  # s 2^s products a vector
+               for rows in _blocks(count, 16 * n_excited * width))
+
+
 def null_basis(op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERANCE) -> DarkSubspace:
     """Orthonormal null-space basis from the gauge: ker L_g = D_s^{-1} ker W.
 
     The Rumer vectors of ker W, on a path that visits the qubits by
-    decreasing |g|, are scaled by |D_s|^{-1} and normalized.  Every arc then
-    closes on its weaker coupling, so each vector peaks at its own ballot
-    pattern, where every earlier vector vanishes: |R_jj| >= 2^{-s/2} in
-    exact arithmetic, at any disorder.  One real Householder QR makes them
-    orthonormal; the dark vectors are the columns of Q times the phases
-    conj(D_s / |D_s|).  The nullity is the dimension minus
-    :func:`rank_exact_modp`.  Raises ValueError unless the Rumer count
-    equals it, the smallest |R_jj| clears ``tol_policy.cutoff(1, shape)``
-    and every vector meets the :func:`verify_dark` tolerance.
+    decreasing |g|, are scaled by |D_s|^{-1} and normalized: the rows of a
+    sparse K.  Every arc then closes on its weaker coupling, so each vector
+    peaks at its own ballot pattern, where every earlier vector vanishes:
+    the Cholesky factor L of K K^T has |L_jj| >= 2^{-s/2} in exact
+    arithmetic, at any disorder.  The dark vectors are the rows of
+    L^{-1} K times the phases conj(D_s / |D_s|).  The nullity is the
+    dimension minus :func:`rank_exact_modp`.  Raises ValueError unless
+    W K_int^T = 0 exactly for the +-1 signs K_int, the Rumer count equals
+    the nullity, K K^T factors with smallest |L_jj| over
+    ``tol_policy.cutoff(1, shape)``, and L_g leaves every phased row of K
+    within the :func:`verify_dark` tolerance.
     """
     g, _ = _read_couplings(op)
     n, s = op.source.n_qubits, op.source.n_excited
+    patterns, signs = _rumer_kernel(n, s)
+    path = np.argsort(-np.abs(g), kind="stable").astype(np.uint64)  # qubit at each step
+    cols = np.searchsorted(op.source.states,
+                           sum(((patterns >> p) & 1) << path[p] for p in range(n)))
+    if witness := _witness(n, s, cols, signs):
+        raise ValueError(f"the ({n}, {s}) Rumer vectors fail the integer witness: "
+                         f"W K^T has {witness} nonzero entries")
     how: dict = {}
     nullity = op.shape[1] - rank_exact_modp(n, s, report=how)
-    patterns, signs = _rumer_kernel(n, s)
-    if patterns.shape[0] != nullity:
-        raise ValueError(f"{patterns.shape[0]} Rumer vectors for the exact nullity {nullity}")
-    path = np.argsort(-np.abs(g), kind="stable").astype(np.uint64)  # qubit at each step
-    rows = np.searchsorted(op.source.states,
-                           sum(((patterns >> p) & 1) << path[p] for p in range(n)))
+    if len(cols) != nullity:
+        raise ValueError(f"{len(cols)} Rumer vectors for the exact nullity {nullity}")
     d_s = _gauge(op.source, g)
-    k = np.zeros((nullity, op.shape[1]))
     with np.errstate(all="ignore"):  # a product out of range fails the checks below
-        k[np.arange(nullity)[:, None], rows] = signs / np.abs(d_s)[rows]
-        k /= np.sqrt(np.einsum("ij,ij->i", k, k))[:, None]
-    q, r = scipy.linalg.qr(k.T, mode="economic", overwrite_a=True, check_finite=False)
-    margin = float(np.abs(np.diag(r)).min() / tol_policy.cutoff(1.0, op.shape)) if nullity else None
+        vals = signs / np.abs(d_s)[cols]
+        vals /= np.sqrt(np.einsum("ij,ij->i", vals, vals))[:, None]
+    k = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, cols.size + 1, 1 << s)),
+                      shape=(nullity, op.shape[1]))
+    gram, kt = np.empty((nullity, nullity)), k.T.tocsr()
+    for rows in _blocks(nullity, 8 * nullity):  # K K^T, F-ordered for LAPACK as its transpose
+        gram[rows] = (k[rows] @ kt).toarray()
+    factor, info = scipy.linalg.lapack.dpotrf(gram.T, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
+        raise ValueError(f"the ({n}, {s}) basis lost rank: the Cholesky factorization of "
+                         f"K K^T breaks down at pivot {info} of {nullity}")
+    cutoff = tol_policy.cutoff(1.0, op.shape)
+    margin = float(np.abs(np.diag(factor)).min() / cutoff) if nullity else None
     if nullity and not margin > 1.0:
-        raise ValueError(f"the ({n}, {s}) basis QR lost rank: min |R_jj| / cutoff = {margin:.3e}")
+        raise ValueError(f"the ({n}, {s}) basis lost rank: min |L_jj| / cutoff = {margin:.3e}")
     phases = np.conj(d_s / np.abs(d_s))
-    residual = max(  # ||L v|| of the unit vectors v = phases * q_j, 64 per product
-        (np.linalg.norm(op.apply(phases[:, None] * q[:, j:j + 64]), axis=0).max()
-         for j in range(0, nullity, 64)), default=0.0)
+    lowered = op.matrix.multiply(phases).tocsr()  # L_g diag(phases), for the phased rows of K
+    residual = max((np.sqrt(abs(lowered @ k[rows].T).power(2).sum(axis=0).max())
+                    for rows in _blocks(nullity, 24 * s << s)), default=0.0)
     if not residual <= (tol := _dark_tolerance(op, tol_policy)):
         raise ValueError(f"a dark vector of the ({n}, {s}) block leaves {residual:.3e} > {tol:.3e}")
-    return DarkSubspace(op.source, q.T, phases, how["route"], margin)
+    return DarkSubspace(op.source, k.tocsc(), factor, phases, how["route"], margin)
 
 
 def dark_subspace(n_qubits: int, n_excited: int, profile: CouplingProfile) -> DarkSubspace:
@@ -327,7 +381,8 @@ def dark_subspace(n_qubits: int, n_excited: int, profile: CouplingProfile) -> Da
     the subspace is defined as that single state.
     """
     if n_excited == 0:
-        return DarkSubspace(enumerate_sector(n_qubits, 0), np.ones((1, 1)),
+        one = np.ones((1, 1))
+        return DarkSubspace(enumerate_sector(n_qubits, 0), sp.csc_matrix(one), one,
                             np.ones(1, dtype=np.complex128), "convention", None)
     return null_basis(build_lowering_block(n_qubits, n_excited, profile))
 
@@ -411,9 +466,7 @@ def rank_exact_modp(
     if prime.bit_length() > 31 or prime < 3 or prime % 2 == 0:
         raise ValueError("prime must be an odd prime with at most 31 bits")
 
-    source, target, indptr, rows, _ = inclusion_pattern(n_qubits, n_excited)
-    w = sp.csc_matrix((np.ones(rows.size, dtype=np.int64), rows, indptr),
-                      shape=(target.size, source.size))
+    w = _inclusion_matrix(n_qubits, n_excited)
     m, k = (w, n_excited) if w.shape[0] <= w.shape[1] else (w.T, n_qubits - n_excited + 1)
     lams = [(n_excited - i) * (n_qubits - n_excited + 1 - i) % prime for i in range(k)]
     v = np.zeros(m.shape[0], dtype=np.int64)

@@ -6,10 +6,11 @@ norm of that coordinate over the orthonormal dark basis.  Summing over all
 arrangements of s excitations traces the projector, so the total is the
 dark-state count itself, whatever the couplings.  The gauge
 L_g = D_{s-1}^{-1} W D_s makes the dark space D_s^{-1} ker W, so the
-probabilities are the squared row norms of one real QR of the scaled Rumer
-basis of ker W; the coupling phases drop out.  No CLI path forms the dim x
-dim projector; the real dim x nullity Q (complex in ``darkbasis``) is the
-largest dense object.  A Bernoulli sampler emulates finite statistics.
+probabilities are the squared row norms of Q = K^T L^{-T}, for the sparse
+scaled Rumer basis K of ker W and the Cholesky factor L of K K^T, streamed
+over column blocks of K; the coupling phases drop out.  No CLI path forms
+the dim x dim projector, and the protocol holds no dim x nullity array.
+A Bernoulli sampler emulates finite statistics.
 """
 
 from __future__ import annotations
@@ -21,16 +22,23 @@ import numpy as np
 
 from .counting import ndark_formula
 from .couplings import CouplingProfile
-from .darkspace import DarkSubspace, dark_subspace
+from .darkspace import COLUMN_BLOCK_BYTES, DarkSubspace, dark_subspace
 from .operators import PureState
 from .sector import state_index
 
-BASIS_BYTES_CAP = 256 << 20  # the real dim x nullity Q in float64: 147 MB at (16, 8)
+BASIS_BYTES_CAP = 256 << 20  # the Gram factor and one block: (18, 9) takes 206 MB, (20, 10) 2.3 GB
 
 
 def dark_basis_bytes(n_qubits: int, n_excited: int) -> int:
     """Bytes of the real dim x nullity dark basis Q of the (N, s) sector in float64."""
     return 8 * comb(n_qubits, n_excited) * ndark_formula(n_qubits, n_excited)
+
+
+def diagonal_fits(n_qubits: int, n_excited: int) -> bool:
+    """Whether the nullity^2 Gram factor and one column block of Q fit ``BASIS_BYTES_CAP``."""
+    nullity = ndark_formula(n_qubits, n_excited)
+    block = min(COLUMN_BLOCK_BYTES, dark_basis_bytes(n_qubits, n_excited))
+    return 8 * nullity * nullity + block <= BASIS_BYTES_CAP
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +52,7 @@ class ProtocolResult:
     n_dark_expected: int
     profile_label: str
     nullity_route: str  # how the dark count behind the basis was obtained
-    qr_margin: float | None  # smallest |R_jj| of the basis QR over its cutoff
+    qr_margin: float | None  # smallest |L_jj| of the basis Gram factor over its cutoff
 
 
 @dataclass(frozen=True)
@@ -83,10 +91,9 @@ def measure_d(n_qubits: int, n_excited: int, profile: CouplingProfile) -> Protoc
     The sum equals the trace of the dark projector over the s-sector, i.e.
     the number of independent dark states there.
     """
-    nbytes = dark_basis_bytes(n_qubits, n_excited)
-    if nbytes > BASIS_BYTES_CAP:
-        raise ValueError(f"the ({n_qubits}, {n_excited}) dark basis takes {nbytes >> 20} MiB, "
-                         f"over the protocol cap of {BASIS_BYTES_CAP >> 20} MiB")
+    if not diagonal_fits(n_qubits, n_excited):
+        raise ValueError(f"the ({n_qubits}, {n_excited}) Gram factor is over the protocol cap "
+                         f"of {BASIS_BYTES_CAP >> 20} MiB")
     if profile.n_qubits != n_qubits:
         raise ValueError(f"profile has {profile.n_qubits} couplings for {n_qubits} qubits")
     sub = dark_subspace(n_qubits, n_excited, profile)

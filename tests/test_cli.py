@@ -168,8 +168,6 @@ def test_darkbasis_refuses_a_projector_over_the_cap(capsys):
 
 
 def test_darkbasis_fails_on_rows_that_are_not_orthonormal(capsys, monkeypatch):
-    import dataclasses
-
     from darkcount import cli
 
     original = cli.dark_subspace
@@ -178,7 +176,8 @@ def test_darkbasis_fails_on_rows_that_are_not_orthonormal(capsys, monkeypatch):
         sub = original(n, s, profile)
         rows = sub.real_basis.copy()
         rows[0] *= 1 + 1e-6
-        return dataclasses.replace(sub, real_basis=rows)
+        sub.__dict__["real_basis"] = rows  # the rows are formed once, on first read
+        return sub
 
     monkeypatch.setattr(cli, "dark_subspace", skewed)
     code, out = run_cli(capsys, "darkbasis", "--n", "6", "--s", "3")
@@ -230,6 +229,19 @@ def test_protocol_16_8_runs(capsys):
     data = run_json(capsys, "protocol", "--n", "16", "--s", "8")["data"]
     assert abs(data["d_of_s"] - 1430) <= 1e-8
     assert len(data["per_arrangement"]) == 12870
+
+
+def test_protocol_and_trajectory_share_the_diagonal_gate(capsys, monkeypatch):
+    from darkcount import cli
+    from darkcount.couplings import uniform_profile
+    from darkcount.protocol import diagonal_fits, measure_d
+
+    assert diagonal_fits(18, 9) and not diagonal_fits(20, 10)
+    with pytest.raises(ValueError, match="over the protocol cap"):
+        measure_d(20, 10, uniform_profile(20, 1.0))
+    monkeypatch.setattr(cli, "diagonal_fits", lambda n, s: (n, s) != (2, 1))
+    data = run_json(capsys, "trajectory", "--n", "2", "--s", "1", "--trajectories", "10")["data"]
+    assert "projector_expectation" not in data
 
 
 @pytest.mark.parametrize("command,s,d", [("protocol", 1, 24), ("protocol", 0, 1),

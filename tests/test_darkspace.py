@@ -371,6 +371,67 @@ def test_rumer_kernel_is_a_basis_of_ker_w(n):
         assert np.linalg.matrix_rank(k) == patterns.shape[0]
 
 
+def _qr_oracle(sub, op):
+    """The former route: a Householder QR of the same scaled Rumer basis K^T."""
+    q, r = scipy.linalg.qr(sub.rumer.T.toarray(), mode="economic")
+    return np.einsum("ij,ij->i", q, q), np.abs(np.diag(r)).min() / DEFAULT_TOLERANCE.cutoff(
+        1.0, op.shape)
+
+
+@pytest.mark.parametrize("g_min", [1e-3, 1e-6])
+@pytest.mark.parametrize("n,s", [(10, 5), (12, 6)])
+def test_gram_route_matches_the_qr_oracle(n, s, g_min):
+    for seed in range(5):
+        profile = sample_profile(n, DisorderSpec(g_min, 1.0, True, "log-uniform"), seed)
+        op = build_lowering_block(n, s, profile)
+        sub = null_basis(op)
+        diagonal, margin = _qr_oracle(sub, op)
+        assert np.abs(sub.diagonal() - diagonal).max() <= 1e-12, (seed, g_min)
+        assert _4g(sub.qr_margin) == _4g(margin), (seed, g_min)
+        q = sub.real_basis
+        assert np.abs(q @ q.T - np.eye(sub.nullity)).max() <= 1e-12, (seed, g_min)
+
+
+def test_dark_rows_are_positive_at_their_own_ballot_pattern():
+    # Gram-Schmidt of the Rumer vectors: vector j peaks where every earlier one vanishes
+    sub = dark_subspace(10, 5, sample_profile(10, DEFAULT_DISORDER, seed=3))
+    own = sub.rumer.toarray().argmax(axis=1)
+    assert np.all(sub.real_basis[np.arange(sub.nullity), own] > 0)
+
+
+def _shift_one_w_row(n, s):
+    source, target, indptr, rows, qubit = inclusion_pattern(n, s)
+    rows = rows.copy()
+    rows[5] = (rows[5] + 1) % target.size
+    return source, target, indptr, rows, qubit
+
+
+def _flip_one_rumer_sign(n, s):
+    patterns, signs = _rumer_kernel(n, s)
+    signs = signs.copy()
+    signs[1] *= -1
+    return patterns, signs
+
+
+@pytest.mark.parametrize("name,mutant", [("inclusion_pattern", _shift_one_w_row),
+                                         ("_rumer_kernel", _flip_one_rumer_sign)])
+def test_integer_witness_catches_a_mutated_w_or_rumer_sign(monkeypatch, name, mutant):
+    op = build_lowering_block(8, 4, sample_profile(8, DEFAULT_DISORDER, seed=0))
+    monkeypatch.setattr(darkspace, name, mutant)
+    with pytest.raises(ValueError, match=r"\(8, 4\) Rumer vectors fail the integer witness"):
+        null_basis(op)
+
+
+def test_gram_breakdown_names_the_sector_and_the_pivot(monkeypatch):
+    def dpotrf(a, **kwargs):
+        return a, 3  # LAPACK's report of a non-positive leading minor of order 3
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", dpotrf)
+    op = build_lowering_block(8, 4, sample_profile(8, DEFAULT_DISORDER, seed=0))
+    with pytest.raises(ValueError, match=r"\(8, 4\) basis lost rank: .* pivot 3 of 14"):
+        null_basis(op)
+
+
 def test_null_basis_reports_how_it_was_obtained():
     sub = dark_subspace(10, 5, sample_profile(10, DisorderSpec(1e-8, 1.0, True, "log-uniform"), 1))
     assert sub.nullity == 42
