@@ -29,9 +29,11 @@ from .counting import (
     thermodynamic_order,
 )
 from .couplings import (
+    DEFAULT_DISORDER,
     CouplingProfile,
     DisorderSpec,
     profile_from_json,
+    profile_record,
     sample_profile,
     uniform_profile,
 )
@@ -61,7 +63,7 @@ EXACT_SECTOR_CAP = 705_432  # C(22, 11): about 1 s of certificate, so count stay
 HISTOGRAM_BINS = 40  # rows of trajectory's first-click histogram
 
 DISORDER_PRESETS = {
-    "log3": DisorderSpec(1e-3, 1.0, True, "log-uniform"),
+    "log3": DEFAULT_DISORDER,
     "log2": DisorderSpec(1e-2, 1.0, True, "log-uniform"),
     "log1": DisorderSpec(1e-1, 1.0, True, "log-uniform"),
     "narrow": DisorderSpec(0.5, 1.0, True, "uniform"),
@@ -141,13 +143,6 @@ def _profile_from_args(args, n_qubits: int) -> CouplingProfile:
             distribution=spec.distribution if args.dist is None else args.dist,
         )
     return sample_profile(n_qubits, spec, args.seed)
-
-
-def _profile_config(profile: CouplingProfile) -> dict:
-    return {
-        "label": profile.label,
-        "couplings": [[g.real, g.imag] for g in profile.values],
-    }
 
 
 def _add_profile_flags(sub: argparse.ArgumentParser) -> None:
@@ -290,7 +285,7 @@ def cmd_darkbasis(args) -> dict:
     record = {
         "n": n, "s": s, "nullity": sub.nullity, "formula": ndark_formula(n, s),
         "nullity_route": sub.nullity_route, **_margins({"qr_margin": sub.qr_margin}),
-        "checks": checks, "profile": _profile_config(profile),
+        "checks": checks, "profile": profile_record(profile),
         "basis": sub.basis[..., None].view(np.float64).tolist(),  # [re, im] per amplitude
         "projector_diagonal": diagonal.tolist(),
     }
@@ -315,7 +310,7 @@ def cmd_protocol(args) -> dict | str:
         "n_dark_expected": result.n_dark_expected,
         "deviation": deviation,
         "nullity_route": result.nullity_route, **_margins({"qr_margin": result.qr_margin}),
-        "profile": _profile_config(profile),
+        "profile": profile_record(profile),
     }
     if deviation > 1e-8:
         raise ConsistencyError(
@@ -339,7 +334,7 @@ def cmd_montecarlo(args) -> dict:
         "n": n, "s": s, "trials_per_arrangement": mc.trials_per_arrangement,
         "estimated_d": mc.estimated_d, "standard_error": mc.standard_error,
         "exact_d": exact, "n_dark": ndark_formula(n, s),
-        "profile": _profile_config(profile),
+        "profile": profile_record(profile),
     }
     if dev > limit:
         raise ConsistencyError(
@@ -398,7 +393,7 @@ def cmd_trajectory(args) -> dict | str:
     data: dict = {
         "n": n, "s": s, "initial": _bitstring(initial, n),
         "kappa": base.kappa, "t_max": base.t_max, "n_trajectories": base.n_trajectories,
-        "profile": _profile_config(profile),
+        "profile": profile_record(profile),
     }
 
     expectation = None

@@ -19,6 +19,7 @@ __all__ = [
     "DEFAULT_DISORDER",
     "uniform_profile",
     "sample_profile",
+    "profile_record",
     "profile_to_json",
     "profile_from_json",
 ]
@@ -117,14 +118,14 @@ def sample_profile(n_qubits: int, spec: DisorderSpec, seed: int) -> CouplingProf
     return CouplingProfile(values=tuple(complex(v) for v in values), label=label)
 
 
+def profile_record(profile: CouplingProfile) -> dict:
+    """The profile as ``{"label", "couplings": [[re, im], ...]}``, as outputs echo it."""
+    return {"label": profile.label, "couplings": [[g.real, g.imag] for g in profile.values]}
+
+
 def profile_to_json(profile: CouplingProfile) -> str:
-    """Serialize as a JSON object with a list of (re, im) pairs."""
-    return json.dumps(
-        {
-            "label": profile.label,
-            "couplings": [[g.real, g.imag] for g in profile.values],
-        }
-    )
+    """Serialize :func:`profile_record` as a JSON object."""
+    return json.dumps(profile_record(profile))
 
 
 def profile_from_json(text: str) -> CouplingProfile:

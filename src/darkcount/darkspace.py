@@ -13,15 +13,14 @@ orthonormal, does.  Two independent routes give the same integers:
   (s-i)(N-s+1-i) >= 1 however wide the disorder.  So one Cholesky
   factorization of the shifted Gram matrix certifies full rank (Sylvester's
   law of inertia), and one that breaks down raises ValueError.  The margin
-  over the cutoff takes two more triangular solves: a product of pair
-  singlets is an exact bottom eigenvector of that Gram matrix.  The
-  couplings are read back off the block, so a block that is not in gauge
-  form raises too.  The dark basis is Rumer's pairing basis of ker W scaled
+  over the cutoff is the checked Rayleigh quotient of a product of pair
+  singlets, an exact bottom eigenvector of that Gram matrix.  The couplings
+  are read back off the block, so a block not in gauge form raises too.  The dark basis is Rumer's pairing basis of ker W scaled
   by |D_s|^{-1}, a sparse K checked exactly by W K_int^T = 0 on its +-1
   signs.  With L the Cholesky factor of K K^T, triangular solves on column
   blocks of K give the squared row norms of Q = K^T L^{-T}, the projector's
-  diagonal, with no dim x nullity array; the phases go on only where
-  vectors are read;
+  diagonal, with no dim x nullity array; one state's dark weight takes one
+  solve; the phases go on only where vectors are read;
 * an exact route over F_p, where rank L_g = rank W as well.  The rank is
   certified by showing that the Gram matrix of W is invertible mod p:
   Wilson's eigenvalues (s-i)(N-s+1-i) give a polynomial q, and q(G) e_0 = 0
@@ -64,9 +63,12 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
+SAFETY_FACTOR = 100.0  # a cutoff is this many times max(dim) * eps, relative
+
+
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Singular-value cutoff: sigma_max * max(dim) * eps * safety_factor.
+    """Singular-value cutoff: sigma_max * max(dim) * eps * SAFETY_FACTOR.
 
     The numeric rank certifies that every sigma^2 exceeds tau =
     max(cutoff^2, floor), where floor = relative(G.shape) * ||G||_1 is the
@@ -75,10 +77,8 @@ class TolerancePolicy:
     sigma units over the cutoff.
     """
 
-    safety_factor: float = 100.0
-
     def relative(self, shape: tuple[int, int]) -> float:
-        return max(shape) * np.finfo(np.float64).eps * self.safety_factor
+        return max(shape) * np.finfo(np.float64).eps * SAFETY_FACTOR
 
     def cutoff(self, sigma_max: float, shape: tuple[int, int]) -> float:
         return sigma_max * self.relative(shape)
@@ -107,8 +107,9 @@ class DarkSubspace:
     signs, and the dark vectors are the rows of ``real_basis * phases``.
     The projector's diagonal, the null-emission probability of each
     arrangement, is the squared row norms of Q, streamed over column blocks
-    of K.  ``nullity_route`` names how the nullity was obtained (the
-    :func:`rank_exact_modp` route, or "convention" at s = 0) and
+    of K; the weight of one state v, ||L^{-1} K (phases^* v)||^2, takes one
+    triangular solve.  ``nullity_route`` names how the nullity was obtained
+    (the :func:`rank_exact_modp` route, or "convention" at s = 0) and
     ``qr_margin`` is the smallest |L_jj| over its cutoff.
     """
 
@@ -203,22 +204,6 @@ def _singlet_product(sector: SectorBasis) -> np.ndarray:
     return x / np.sqrt(1 << k)
 
 
-def _smallest_eigenvalue(factor: np.ndarray, start: np.ndarray) -> float:
-    """lambda_min of A = R^T R from its upper Cholesky factor R.
-
-    Inverse iteration until the Rayleigh quotient of A^{-1} settles to 1e-12.
-    From an exact bottom eigenvector ``start`` two solves do, exact to rounding.
-    """
-    x, mu = start, 0.0
-    for _ in range(100):
-        y = scipy.linalg.cho_solve((factor, False), x, check_finite=False)
-        mu_prev, mu = mu, float(x @ y)
-        x = y / np.linalg.norm(y)
-        if abs(mu - mu_prev) <= 1e-12 * mu:
-            break
-    return 1.0 / mu
-
-
 def rank_numeric(
     op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERANCE, report: dict | None = None
 ) -> int:
@@ -237,8 +222,10 @@ def rank_numeric(
     sigma^2 exceeds tau (Sylvester), so the rank is min(m, n).  One that
     breaks down raises ValueError naming the sector, tau and the failing
     pivot.  A ``report`` dict, if given, receives ``gauge_residual`` and
-    ``kept_margin``, the smallest singular value over the cutoff, by inverse
-    iteration on the factor from :func:`_singlet_product` of G's side.
+    ``kept_margin``, the smallest singular value over the cutoff: sqrt of
+    lambda = x^T G x for the :func:`_singlet_product` x of G's (N, m) side.
+    Unless ||G x - lambda x|| and |lambda - |N - 2m|| (Wilson's bottom
+    eigenvalue) both stay within the floor, it raises ValueError too.
     """
     g, coo = _read_couplings(op)
     with np.errstate(all="ignore"):  # a product out of range shows in the residual
@@ -253,7 +240,8 @@ def rank_numeric(
     side, gram = (op.target, b @ b.T) if op.shape[0] <= op.shape[1] else (op.source, b.T @ b)
     norm1 = float(abs(gram).sum(axis=0).max())
     cutoff = tol_policy.cutoff(np.sqrt(norm1), op.shape)
-    tau = max(cutoff**2, tol_policy.relative(gram.shape) * norm1)
+    floor = tol_policy.relative(gram.shape) * norm1
+    tau = max(cutoff**2, floor)
     shifted = gram.toarray(order="F")  # LAPACK's layout: dpotrf works in place
     np.fill_diagonal(shifted, shifted.diagonal() - tau)
     factor, info = scipy.linalg.lapack.dpotrf(shifted, clean=False, overwrite_a=True)
@@ -264,8 +252,15 @@ def rank_numeric(
             f"pivot {info} of {gram.shape[0]}"
         )
     if report is not None:
-        kept = np.sqrt(_smallest_eigenvalue(factor, _singlet_product(side)) + tau)
-        report.update(gauge_residual=residual, kept_margin=float(kept / cutoff))
+        x = _singlet_product(side)
+        lam = float(x @ (gx := gram @ x))
+        off = np.linalg.norm(gx - lam * x), abs(lam - abs(side.n_qubits - 2 * side.n_excited))
+        if not max(off) <= floor:
+            raise ValueError(
+                f"the ({op.source.n_qubits}, {op.source.n_excited}) kept margin failed its "
+                f"check: the singlet product's Rayleigh quotient {lam:.6g} is {off[1]:.3e} off "
+                f"Wilson's bottom eigenvalue, with residual {off[0]:.3e}, over {floor:.3e}")
+        report.update(gauge_residual=residual, kept_margin=float(np.sqrt(lam) / cutoff))
     return gram.shape[0]
 
 
@@ -333,7 +328,8 @@ def null_basis(op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERAN
     W K_int^T = 0 exactly for the +-1 signs K_int, the Rumer count equals
     the nullity, K K^T factors with smallest |L_jj| over
     ``tol_policy.cutoff(1, shape)``, and L_g leaves every phased row of K
-    within the :func:`verify_dark` tolerance.
+    within the :func:`verify_dark` tolerance.  K is converted to CSC once,
+    for the Gram rows and the subspace.
     """
     g, _ = _read_couplings(op)
     n, s = op.source.n_qubits, op.source.n_excited
@@ -354,9 +350,9 @@ def null_basis(op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERAN
         vals /= np.sqrt(np.einsum("ij,ij->i", vals, vals))[:, None]
     k = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, cols.size + 1, 1 << s)),
                       shape=(nullity, op.shape[1]))
-    gram, kt = np.empty((nullity, nullity)), k.T.tocsr()
+    gram, kc = np.empty((nullity, nullity)), k.tocsc()  # kc.T is K^T in CSR, no copy
     for rows in _blocks(nullity, 8 * nullity):  # K K^T, F-ordered for LAPACK as its transpose
-        gram[rows] = (k[rows] @ kt).toarray()
+        gram[rows] = (k[rows] @ kc.T).toarray()
     factor, info = scipy.linalg.lapack.dpotrf(gram.T, lower=1, clean=1, overwrite_a=1)
     if info != 0:
         raise ValueError(f"the ({n}, {s}) basis lost rank: the Cholesky factorization of "
@@ -371,7 +367,7 @@ def null_basis(op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERAN
                     for rows in _blocks(nullity, 24 * s << s)), default=0.0)
     if not residual <= (tol := _dark_tolerance(op, tol_policy)):
         raise ValueError(f"a dark vector of the ({n}, {s}) block leaves {residual:.3e} > {tol:.3e}")
-    return DarkSubspace(op.source, k.tocsc(), factor, phases, how["route"], margin)
+    return DarkSubspace(op.source, kc, factor, phases, how["route"], margin)
 
 
 def dark_subspace(n_qubits: int, n_excited: int, profile: CouplingProfile) -> DarkSubspace:

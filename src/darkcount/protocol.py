@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+import scipy.linalg
 
 from .counting import ndark_formula
 from .couplings import CouplingProfile
@@ -72,17 +73,22 @@ class MonteCarloResult:
 def null_emission_probability(init: int | PureState, sub: DarkSubspace) -> float:
     """Probability that the detector never clicks for a given initial state.
 
-    For a basis arrangement (occupation pattern) this is the corresponding
-    diagonal entry of the dark projector; a normalized superposition state
-    gives the full expectation value <psi|P|psi> = sum_j |<d_j|psi>|^2.
+    A normalized state psi gives <psi|P|psi> = sum_j |<d_j|psi>|^2 =
+    ||L^{-1} K (phases^* psi)||^2; a basis arrangement (occupation pattern)
+    k is psi = e_k, whose value is the k-th diagonal entry of the dark
+    projector.  Either way it is one sparse product and one triangular
+    solve, with the real and imaginary parts as two right-hand sides.
     """
     if isinstance(init, PureState):
         if init.basis != sub.sector:
             raise ValueError("state and dark subspace belong to different sectors")
-        overlaps = sub.real_basis @ (sub.phases.conj() * init.normalized().amplitudes)
-        return float(np.vdot(overlaps, overlaps).real)
-    k = state_index(sub.sector, init)  # validates popcount and bit range
-    return float(sub.diagonal()[k])
+        psi = init.normalized().amplitudes
+    else:
+        psi = np.zeros(sub.sector.size, dtype=np.complex128)
+        psi[state_index(sub.sector, init)] = 1.0  # validates popcount and bit range
+    rhs = (sub.rumer @ (sub.phases.conj() * psi)).view(np.float64).reshape(-1, 2)
+    overlaps = scipy.linalg.solve_triangular(sub.factor, rhs, lower=True, check_finite=False)
+    return float(np.einsum("ij,ij->", overlaps, overlaps))
 
 
 def measure_d(n_qubits: int, n_excited: int, profile: CouplingProfile) -> ProtocolResult:

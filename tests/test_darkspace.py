@@ -130,14 +130,17 @@ def test_nullity_raises_when_gauge_products_underflow():
         dark_subspace(4, 2, profile)
 
 
-def _equilibrated_svdvals(op, couplings):
-    """Oracle: svdvals of D_{s-1} L_g D_s^{-1}, the gauge products taken from the couplings."""
+def _equilibrated(op, couplings):
+    """Oracle: dense D_{s-1} L_g D_s^{-1}, the gauge products taken from the couplings."""
     def gauge(sector):
         return np.array([np.prod([g for k, g in enumerate(couplings) if x >> k & 1])
                          for x in sector.states])
 
-    dense = op.matrix.toarray() * gauge(op.target)[:, None] / gauge(op.source)[None, :]
-    return scipy.linalg.svdvals(dense.real)
+    return (op.matrix.toarray() * gauge(op.target)[:, None] / gauge(op.source)[None, :]).real
+
+
+def _equilibrated_svdvals(op, couplings):
+    return scipy.linalg.svdvals(_equilibrated(op, couplings))
 
 
 def _4g(x):
@@ -168,7 +171,7 @@ def test_cholesky_breakdown_raises(monkeypatch):
         rank_numeric(op)
 
 
-def test_margin_takes_two_solves(monkeypatch):
+def test_margin_takes_no_solve(monkeypatch):
     calls = []
     cho_solve = scipy.linalg.cho_solve
 
@@ -178,10 +181,27 @@ def test_margin_takes_two_solves(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "cho_solve", counted)
     for n, s in ((12, 6), (9, 6)):  # the (s-1)-subset side, then the s-subset side
-        calls.clear()
+        report = {}
         rank_numeric(build_lowering_block(n, s, sample_profile(n, DEFAULT_DISORDER, seed=0)),
-                     report={})
-        assert len(calls) <= 3, (n, s, len(calls))
+                     report=report)
+        assert report["kept_margin"] > 1.0
+        assert calls == [], (n, s, len(calls))
+
+
+@pytest.mark.parametrize("n,s", [(12, 6), (9, 6)])
+@pytest.mark.parametrize("start", ["e0", "ones"])
+def test_kept_margin_rejects_a_start_off_the_bottom_eigenvector(monkeypatch, n, s, start):
+    # e_0 is no eigenvector; the all-ones vector is the top one, Wilson's s(N-s+1)
+    def wrong(sector):
+        x = np.zeros(sector.size) if start == "e0" else np.ones(sector.size)
+        x[0] = 1.0
+        return x / np.linalg.norm(x)
+
+    op = build_lowering_block(n, s, sample_profile(n, DEFAULT_DISORDER, seed=0))
+    monkeypatch.setattr(darkspace, "_singlet_product", wrong)
+    with pytest.raises(ValueError, match=rf"\({n}, {s}\) kept margin failed its check"):
+        rank_numeric(op, report={})
+    assert rank_numeric(op) == min(op.shape)  # the rank itself reads no margin
 
 
 def test_singlet_product_is_a_bottom_eigenvector_on_both_sides():
@@ -196,8 +216,9 @@ def test_singlet_product_is_a_bottom_eigenvector_on_both_sides():
             assert residual <= 1e-12, (n, s, side.n_excited)
 
 
-def test_kept_margin_matches_inverse_iteration_from_e0(monkeypatch):
-    def from_e0(factor, start):
+def test_kept_margin_matches_inverse_iteration_from_e0():
+    def from_e0(factor):
+        """lambda_min of R^T R by inverse iteration from e_0 on its upper Cholesky factor R."""
         x, mu = np.zeros(factor.shape[0]), 0.0
         x[0] = 1.0
         for _ in range(100):
@@ -210,13 +231,18 @@ def test_kept_margin_matches_inverse_iteration_from_e0(monkeypatch):
 
     for n, s in ((9, 4), (8, 6), (10, 5), (11, 7)):
         for seed in (0, 1):
-            op = build_lowering_block(n, s, sample_profile(n, DEFAULT_DISORDER, seed=seed))
-            report, reference = {}, {}
+            profile = sample_profile(n, DEFAULT_DISORDER, seed=seed)
+            op = build_lowering_block(n, s, profile)
+            report = {}
             rank_numeric(op, report=report)
-            with monkeypatch.context() as m:
-                m.setattr(darkspace, "_smallest_eigenvalue", from_e0)
-                rank_numeric(op, report=reference)
-            assert _4g(report["kept_margin"]) == _4g(reference["kept_margin"]), (n, s, seed)
+            b = _equilibrated(op, profile.values)  # the reference Gram matrix is built here
+            gram = b @ b.T if b.shape[0] <= b.shape[1] else b.T @ b
+            norm1 = float(np.abs(gram).sum(axis=0).max())
+            cutoff = DEFAULT_TOLERANCE.cutoff(np.sqrt(norm1), op.shape)
+            tau = max(cutoff**2, DEFAULT_TOLERANCE.relative(gram.shape) * norm1)
+            factor = scipy.linalg.cholesky(gram - tau * np.eye(gram.shape[0]))
+            reference = np.sqrt(from_e0(factor) + tau) / cutoff
+            assert _4g(report["kept_margin"]) == _4g(reference), (n, s, seed)
 
 
 # -- null basis & projector ---------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from darkcount.counting import ndark_formula
 from darkcount.couplings import DEFAULT_DISORDER, sample_profile, uniform_profile
-from darkcount.darkspace import dark_subspace, projector
+from darkcount.darkspace import DarkSubspace, dark_subspace, projector
 from darkcount.operators import PureState
 from darkcount.protocol import (
     measure_d,
@@ -36,6 +36,21 @@ def test_superposition_probability_matches_dense_expectation():
     psi = state.normalized().amplitudes
     dense = np.vdot(psi, projector(sub) @ psi).real
     assert abs(null_emission_probability(state, sub) - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("n,s", [(8, 4), (12, 6)])
+def test_arrangement_probability_takes_one_solve(monkeypatch, n, s):
+    sub = dark_subspace(n, s, sample_profile(n, DEFAULT_DISORDER, seed=0))
+    diagonal = sub.diagonal()
+
+    def refuse(self):
+        raise AssertionError("one probability must not stream the whole diagonal")
+
+    monkeypatch.setattr(DarkSubspace, "diagonal", refuse)
+    for k in range(0, sub.sector.size, 1 if n == 8 else 7):
+        got = null_emission_probability(int(sub.sector.states[k]), sub)
+        assert abs(got - diagonal[k]) <= 1e-14, (n, s, k)
+    assert "real_basis" not in sub.__dict__  # no dim x nullity Q was formed
 
 
 def test_bright_sector_probability_zero():
