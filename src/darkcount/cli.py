@@ -58,8 +58,10 @@ from .trajectory import no_click_vs_kappa, run_trajectories, standard_config
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "DARKCOUNT_OUTPUT_DIR"
 
-NUMERIC_SECTOR_CAP = comb(16, 8)  # dense Gram of the smaller side, 1.05 GB at (16,8)
-EXACT_SECTOR_CAP = 705_432  # C(22, 11): about 1 s of certificate, so count stays light
+# C(22, 11), where the certificate takes 0.8 s and 173 MB peak RSS and the
+# numeric rank with its block 2.4 s and 820 MB (2-vCPU VM): count stays
+# within seconds and 1 GB
+EXACT_SECTOR_CAP = 705_432
 HISTOGRAM_BINS = 40  # rows of trajectory's first-click histogram
 
 DISORDER_PRESETS = {
@@ -184,15 +186,18 @@ def cmd_count(args) -> dict:
         methods: dict[str, dict] = {}
         size = comb(n, s)
 
+        # both sparse rank routes build the s and s-1 sectors; gate on the larger
+        fits = s > 0 and max(size, comb(n, s - 1)) <= args.exact_cap
+
         if s == 0:
             # no lowering block: the all-ground state is dark by convention
             methods["numeric"] = {"ran": True, "value": 1}
-        elif size <= NUMERIC_SECTOR_CAP:
+        elif fits:
             how = {}
             rank = rank_numeric(build_lowering_block(n, s, profile), report=how)
             methods["numeric"] = {"ran": True, "value": size - rank, **_margins(how)}
         else:
-            methods["numeric"] = {"ran": False, "why": f"sector size {size} over cap"}
+            methods["numeric"] = {"ran": False, "why": "s or s-1 sector size over cap"}
 
         if size <= S_SQUARED_SECTOR_CAP:
             methods["oracle"] = {"ran": True, "value": count_dark_uniform_oracle(n, s)}
@@ -204,8 +209,7 @@ def cmd_count(args) -> dict:
                 "ran": False,
                 "why": "no lowering block at s=0; nullity 1 by convention",
             }
-        elif max(size, comb(n, s - 1)) <= args.exact_cap:
-            # the certificate builds both the s and s-1 sectors; gate on the larger
+        elif fits:
             how: dict = {}
             rank = rank_exact_modp(n, s, report=how)
             methods["exact_modp"] = {"ran": True, "rank": rank, "value": size - rank, **how}
@@ -237,6 +241,8 @@ def cmd_rank(args) -> dict:
     if s < 1:
         raise ValueError("rank needs s >= 1 (no lowering block at s = 0)")
     size = comb(n, s)
+    if args.method != "modp" and max(size, comb(n, s - 1)) > EXACT_SECTOR_CAP:
+        raise ValueError(f"the s or s-1 sector is over the cap of {EXACT_SECTOR_CAP} states")
     records = []
     if args.method in ("modp", "both"):
         how: dict = {}
@@ -246,8 +252,6 @@ def cmd_rank(args) -> dict:
              "nullity": size - rank, "tolerance": None, **how}
         )
     if args.method in ("numeric", "both"):
-        if size > NUMERIC_SECTOR_CAP:
-            raise ValueError(f"sector size {size} exceeds the dense Gram cap")
         profile = _profile_from_args(args, n)
         op = build_lowering_block(n, s, profile)
         how = {}
@@ -478,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--all-s", action="store_true")
     p.add_argument("--exact-cap", type=int, default=EXACT_SECTOR_CAP,
-                   help="largest sector size for the exact F_p rank")
+                   help="largest s or s-1 sector size for both sparse rank routes, "
+                        "numeric and exact F_p")
     _add_profile_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_count)

@@ -7,15 +7,12 @@ never depends on the couplings, while the dark basis, D_s^{-1} ker W made
 orthonormal, does.  Two independent routes give the same integers:
 
 * a floating-point route with an explicit, auditable tolerance policy.  The
-  numeric rank certifies or raises.  The squared singular values of the
-  equilibrated block B = D_{s-1} L_g D_s^{-1}, which is W to rounding, are
-  the eigenvalues of the Gram matrix of B's smaller side: Wilson's integers
-  (s-i)(N-s+1-i) >= 1 however wide the disorder.  So one Cholesky
-  factorization of the shifted Gram matrix certifies full rank (Sylvester's
-  law of inertia), and one that breaks down raises ValueError.  The margin
-  over the cutoff is the checked Rayleigh quotient of a product of pair
-  singlets, an exact bottom eigenvector of that Gram matrix.  The couplings
-  are read back off the block, so a block not in gauge form raises too.  The dark basis is Rumer's pairing basis of ker W scaled
+  numeric rank reads the couplings back off the block, so a block not in
+  gauge form raises, and checks that the equilibrated block
+  B = D_{s-1} L_g D_s^{-1} is W to within a residual.  Weyl's inequality
+  then turns Wilson's singular values of W, sqrt((s-i)(N-s+1-i)) >= 1
+  however wide the disorder, into bounds on B's: no Gram matrix, no
+  factorization.  The dark basis is Rumer's pairing basis of ker W scaled
   by |D_s|^{-1}, a sparse K checked exactly by W K_int^T = 0 on its +-1
   signs.  With L the Cholesky factor of K K^T, triangular solves on column
   blocks of K give the squared row norms of Q = K^T L^{-T}, the projector's
@@ -70,11 +67,8 @@ SAFETY_FACTOR = 100.0  # a cutoff is this many times max(dim) * eps, relative
 class TolerancePolicy:
     """Singular-value cutoff: sigma_max * max(dim) * eps * SAFETY_FACTOR.
 
-    The numeric rank certifies that every sigma^2 exceeds tau =
-    max(cutoff^2, floor), where floor = relative(G.shape) * ||G||_1 is the
-    backward error of a Cholesky factorization of the Gram matrix G: no
-    threshold on sigma^2 below it can be resolved.  The kept margin stays in
-    sigma units over the cutoff.
+    ``relative(shape)`` also bounds the gauge residual of the numeric rank,
+    and its kept margin is in sigma units over the cutoff.
     """
 
     def relative(self, shape: tuple[int, int]) -> float:
@@ -183,85 +177,51 @@ def _gauge(sector: SectorBasis, g: np.ndarray) -> np.ndarray:
     return np.prod(np.where(excited, g, 1.0), axis=1)
 
 
-def _singlet_product(sector: SectorBasis) -> np.ndarray:
-    """Unit product of the singlets on qubit pairs (1, 2), (3, 4), ... in the (N, m) sector.
-
-    k = min(m, N-m) pairs, every other qubit ground (2m <= N) or excited:
-    entry (-1)^|c| on each pattern sum_j 2^(2j+c_j), c in {0,1}^k, complemented
-    when 2m > N.  Its total spin S = |S^z| is the least the sector holds, so
-    it is an exact bottom eigenvector of both Gram matrices of W, S^- S^+ on
-    the (s-1)-subsets and S^+ S^- on the s-subsets; on the smaller side the
-    eigenvalue is |N - 2m|.
-    """
-    n, m = sector.n_qubits, sector.n_excited
-    k = min(m, n - m)
-    choice = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.uint64)
-    patterns = (np.uint64(1) << 2 * np.arange(k, dtype=np.uint64) + choice).sum(axis=1)
-    if 2 * m > n:
-        patterns ^= np.uint64((1 << n) - 1)
-    x = np.zeros(sector.size)
-    x[np.searchsorted(sector.states, patterns)] = 1.0 - 2.0 * (choice.sum(axis=1) % 2)
-    return x / np.sqrt(1 << k)
-
-
 def rank_numeric(
     op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERANCE, report: dict | None = None
 ) -> int:
-    """Certify that the gauge-equilibrated block has full rank min(m, n), or raise.
+    """The rank min(m, n) of a lowering block in gauge form, or raise.
 
-    Nonsingular diagonal scaling keeps the rank, so the rank of L_g is
-    read off B = D_{s-1} L_g D_s^{-1}, whose entries are 1 up to the
-    rounding of the gauge products.  Raises ValueError when the block is not
-    in gauge form or the residual max |entry - 1| exceeds
-    ``tol_policy.relative(shape)``.  The sigma^2 are the eigenvalues of the
-    Gram matrix G of B's smaller side (a sparse product, densified once);
-    sigma_max = sqrt(||G||_1) for the biregular W sets the cutoff, and
-    sigma^2 is compared with tau = max(cutoff^2, relative(G.shape) ||G||_1),
-    the second term the factorization's backward error.  A Cholesky
-    factorization of G - tau I that succeeds is the certificate: every
-    sigma^2 exceeds tau (Sylvester), so the rank is min(m, n).  One that
-    breaks down raises ValueError naming the sector, tau and the failing
-    pivot.  A ``report`` dict, if given, receives ``gauge_residual`` and
-    ``kept_margin``, the smallest singular value over the cutoff: sqrt of
-    lambda = x^T G x for the :func:`_singlet_product` x of G's (N, m) side.
-    Unless ||G x - lambda x|| and |lambda - |N - 2m|| (Wilson's bottom
-    eigenvalue) both stay within the floor, it raises ValueError too.
+    Once :func:`_read_couplings` finds entry (t, x) equal to g_{x \\ t} on
+    exactly W's pattern, L_g = D_{s-1}^{-1} W D_s with nonzero D, so the
+    rank is W's, min(m, n) (Wilson 1990).  What the call checks in floating
+    point is the equilibrated block B = D_{s-1} L_g D_s^{-1}: it raises
+    ValueError when the block is not in gauge form or when the residual
+    max |entry - 1| exceeds ``tol_policy.relative(shape)``; a gauge product
+    outside the normal float range counts as an infinite residual.  Those
+    are the only failures.  On W's pattern B = W + E with |E_ij| <= r, the
+    residual plus 32 eps for the rounding of the complex product and
+    quotient that form each entry, so ||E||_2 <= r sqrt(s(N-s+1)) (the
+    rows of W hold N-s+1 ones, the columns s).  Weyl's inequality and
+    Wilson's spectrum of W, whose squared singular values run from
+    |N - 2m| >= 1 (m the excitation number of W's smaller side) to
+    s(N-s+1), give sigma_min(B) >= sqrt|N - 2m| - ||E||_2 and
+    sigma_max(B) <= sqrt(s(N-s+1)) + ||E||_2.  A ``report`` dict, if
+    given, receives ``gauge_residual`` and ``kept_margin``, that lower
+    bound over the cutoff of that upper one.  Within ``SECTOR_CAP`` the
+    residual check keeps ||E||_2 and the cutoff below 2.2e-6, so the margin
+    needs no check of its own.  No dense array is formed and no LAPACK
+    routine called.
     """
     g, coo = _read_couplings(op)
+    d_t, d_s = _gauge(op.target, g), _gauge(op.source, g)
     with np.errstate(all="ignore"):  # a product out of range shows in the residual
-        scaled = _gauge(op.target, g)[coo.row] * coo.data / _gauge(op.source, g)[coo.col]
-        residual = float(np.max(np.abs(scaled - 1.0)))
+        scaled = d_t[coo.row] * coo.data / d_s[coo.col]
+        normal = min(np.abs(d_t).min(), np.abs(d_s).min()) >= np.finfo(np.float64).tiny
+        residual = float(np.max(np.abs(scaled - 1.0))) if normal else np.inf
     if not residual <= tol_policy.relative(op.shape):
         raise ValueError(
             f"gauge equilibration of lowering block {op.shape} left residual "
             f"{residual:.3e} over {tol_policy.relative(op.shape):.3e}"
         )
-    b = sp.csr_matrix((scaled.real, (coo.row, coo.col)), shape=op.shape)
-    side, gram = (op.target, b @ b.T) if op.shape[0] <= op.shape[1] else (op.source, b.T @ b)
-    norm1 = float(abs(gram).sum(axis=0).max())
-    cutoff = tol_policy.cutoff(np.sqrt(norm1), op.shape)
-    floor = tol_policy.relative(gram.shape) * norm1
-    tau = max(cutoff**2, floor)
-    shifted = gram.toarray(order="F")  # LAPACK's layout: dpotrf works in place
-    np.fill_diagonal(shifted, shifted.diagonal() - tau)
-    factor, info = scipy.linalg.lapack.dpotrf(shifted, clean=False, overwrite_a=True)
-    if info != 0:
-        raise ValueError(
-            f"the ({op.source.n_qubits}, {op.source.n_excited}) rank certificate failed: "
-            f"the Cholesky factorization of G - tau I, tau = {tau:.3e}, breaks down at "
-            f"pivot {info} of {gram.shape[0]}"
-        )
     if report is not None:
-        x = _singlet_product(side)
-        lam = float(x @ (gx := gram @ x))
-        off = np.linalg.norm(gx - lam * x), abs(lam - abs(side.n_qubits - 2 * side.n_excited))
-        if not max(off) <= floor:
-            raise ValueError(
-                f"the ({op.source.n_qubits}, {op.source.n_excited}) kept margin failed its "
-                f"check: the singlet product's Rayleigh quotient {lam:.6g} is {off[1]:.3e} off "
-                f"Wilson's bottom eigenvalue, with residual {off[0]:.3e}, over {floor:.3e}")
-        report.update(gauge_residual=residual, kept_margin=float(np.sqrt(lam) / cutoff))
-    return gram.shape[0]
+        n, s = op.source.n_qubits, op.source.n_excited
+        m = s - 1 if op.shape[0] <= op.shape[1] else s
+        top = np.sqrt(s * (n - s + 1))
+        spread = (residual + 32 * np.finfo(np.float64).eps) * top  # bounds ||E||_2
+        report.update(gauge_residual=residual, kept_margin=float(
+            (np.sqrt(abs(n - 2 * m)) - spread) / tol_policy.cutoff(top + spread, op.shape)))
+    return min(op.shape)
 
 
 @functools.lru_cache(maxsize=8)

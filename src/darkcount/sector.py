@@ -19,9 +19,10 @@ from math import comb
 import numpy as np
 
 # The one cap on a sector, in states.  The sector itself takes 8 bytes a
-# state; the exact rank certificate, its largest user, peaks near 200 bytes
-# a state of its source sector (530 MB above the interpreter at (24, 12)),
-# so about 0.6 GB at the cap.
+# state of its own.  Per state of the source sector, the exact rank
+# certificate peaks near 200 bytes (530 MB above the interpreter at
+# (24, 12)) and the numeric rank with its block near 1.1 KB (770 MB
+# at (22, 11)), so the CLI gates both well below this cap.
 SECTOR_CAP = 3_000_000
 
 

@@ -40,7 +40,7 @@ def test_count_large_sector_formula_with_skips(capsys):
     payload = run_json(capsys, "count", "--n", "20", "--s", "10")
     result = payload["data"]["results"][0]
     assert result["formula"] == 16796
-    assert not result["methods"]["numeric"]["ran"]
+    assert result["methods"]["numeric"]["value"] == 16796
     assert not result["methods"]["oracle"]["ran"]
     assert result["methods"]["exact_modp"]["ran"]
     assert result["methods"]["exact_modp"]["value"] == 16796
@@ -69,15 +69,13 @@ def test_count_skips_the_exact_route_when_the_s_minus_1_sector_is_over_cap(capsy
     assert payload["data"]["all_agree"] is None  # no method checked the closed form
 
 
-def test_count_with_no_method_run_claims_no_agreement(capsys, monkeypatch):
+def test_count_with_no_method_run_claims_no_agreement(capsys):
     payload = run_json(capsys, "count", "--n", "17", "--s", "8", "--exact-cap", "10")
     (result,) = payload["data"]["results"]
     assert not any(m["ran"] for m in result["methods"].values())
     assert result["agree"] is None
     assert payload["data"]["all_agree"] is None
-    # one unchecked sector among checked ones still leaves the verdict open; a lower
-    # numeric cap spares the dense Gram matrices of the middle sectors, which decide nothing
-    monkeypatch.setattr("darkcount.cli.NUMERIC_SECTOR_CAP", 1000)
+    # one unchecked sector among checked ones still leaves the verdict open
     payload = run_json(capsys, "count", "--n", "17", "--all-s", "--exact-cap", "10")
     verdicts = [r["agree"] for r in payload["data"]["results"]]
     assert None in verdicts and True in verdicts and False not in verdicts
@@ -418,13 +416,29 @@ def test_rank_failure_prints_every_record(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", [("count", "--s", "2"),
                                      ("rank", "--s", "2", "--method", "numeric")])
-def test_numeric_certificate_failure_exits_1(capsys, monkeypatch, command):
-    import scipy.linalg
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a, **kwargs: (a, 1))
-    code = main([command[0], "--n", "4", *command[1:]])
+def test_numeric_residual_failure_exits_1(capsys, tmp_path, command):
+    # prod g over the pair of 1e-200 couplings is 1e-400, below the float range
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps([[1.0, 0.0], [1e-200, 0.0], [1e-200, 0.0], [1.0, 0.0]]))
+    code = main([command[0], "--n", "4", *command[1:], "--profile-json", str(path)])
     assert code == 1
-    assert "rank certificate failed" in capsys.readouterr().err
+    assert "residual" in capsys.readouterr().err
+
+
+def test_rank_18_9_both_methods_agree(capsys):
+    payload = run_json(capsys, "rank", "--n", "18", "--s", "9", "--method", "both")
+    modp, svd = payload["data"]["records"]
+    assert modp["rank"] == svd["rank"] == payload["data"]["expected_generic_rank"] == 43758
+    assert svd["kept_margin"] > 1
+
+
+def test_rank_numeric_refuses_a_sector_over_the_exact_cap_first(capsys):
+    # (23, 11) holds 1352078 states; the refusal comes before the certificate runs
+    started = time.perf_counter()
+    code = main(["rank", "--n", "23", "--s", "11", "--method", "both"])
+    assert code == 1
+    assert "over the cap of 705432" in capsys.readouterr().err
+    assert time.perf_counter() - started < 0.5
 
 
 def test_error_exit_code(capsys):
