@@ -9,13 +9,16 @@ no-jump state first drops below its uniform variate u_i.
 The no-jump generator conserves excitation number, so the whole run lives
 on the block of states |q, k> with popcount(q) + k = s: 163 states at
 (N, s) = (8, 4) against 1280 for the full truncated space, assembled from
-the sector lowering blocks.  There the propagator over one grid step is
-taken exactly with ``expm``, and its powers walk the grid in 64 blocks of
-64 states, one dense product per block; omega is a constant on the block
-and only adds a phase.  The squared norm decays monotonically, so the
-no-click probability converges to the dark-projector expectation of the
-initial state once kappa dominates all couplings and the waiting time
-covers the weakest coupling.
+the sector lowering blocks.  The coupling phases and the i of the
+Schroedinger equation are a diagonal unitary gauge there, which keeps every
+norm, so the generator is a real matrix built from |L|.  The propagator
+over one grid step is taken exactly with a real ``expm``, and its powers
+walk the real and imaginary parts of the gauged state through the grid in
+64 blocks of 64 states, one dense product per block; omega is a constant
+on the block and only adds a phase.  The squared norm decays
+monotonically, so the no-click probability converges to the
+dark-projector expectation of the initial state once kappa dominates all
+couplings and the waiting time covers the weakest coupling.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from .darkspace import _gauge
 from .operators import HamiltonianModel, PureState, build_lowering_block
 from .sector import enumerate_sector, state_index
 
@@ -134,24 +138,30 @@ class ClickStatistics:
 def _no_jump_norm_curve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarray]:
     """Squared norm of the no-jump state at the grid times k * dt, k = 0..NORM_GRID_POINTS.
 
-    Assembles H - (i kappa / 2) a^dag a on the initial state's excitation
-    block: sub-block k holds k photons and the (s-k)-sector in canonical
-    order, coupled to k+1 photons by sqrt(k+1) L_{s-k}; omega adds a
-    constant there and is dropped.  psi_0 lies in the photon-0 sub-block.
-    Takes the one-step propagator exp(-i dt H_blk) exactly and walks the
-    grid in STRIDE-wide blocks: doubling builds psi_0 .. psi_{STRIDE-1} and
-    step^STRIDE, then each block is one dense product of step^STRIDE with
-    the block before it.
+    Works on the initial state's excitation block: sub-block k holds k
+    photons and the (s-k)-sector in canonical order, coupled to k+1 photons
+    by sqrt(k+1) L_{s-k}; omega adds a constant there and is dropped.
+    Entry (t, x) of L_{s-k} is g_{x \\ t} = |g_{x \\ t}| u(x) / u(t), with
+    u(x) = prod_{j in x} g_j / |g_j|, so the diagonal unitary u(x) (-i)^k
+    on pattern x with k photons turns -i (H - (i kappa / 2) a^dag a) into the
+    real generator M: -sqrt(k+1) |L_{s-k}| from k to k+1 photons, its
+    negated transpose back, and -kappa k / 2 on sub-block k.  A unitary keeps
+    every norm, so the curve is that of exp(t M) psi_0' with psi_0' = u psi_0
+    on the photon-0 sub-block.  Takes the one-step propagator exp(dt M)
+    exactly in real arithmetic and walks Re psi_0' and Im psi_0' together,
+    the complex columns viewed as pairs of real ones, in STRIDE-wide blocks:
+    doubling builds psi_0 .. psi_{STRIDE-1} and step^STRIDE, then each
+    block is one dense product of step^STRIDE with the block before it.
     """
     n, s, initial = config.model.n_qubits, config._initial_excitations(), config.initial
     lower = [build_lowering_block(n, s - k, config.model.profile) for k in range(s)]
     sizes = [op.shape[1] for op in lower] + [1]  # k = s photons: the all-ground state
     blocks = [[None] * (s + 1) for _ in range(s + 1)]
     for k in range(s + 1):
-        blocks[k][k] = sp.identity(sizes[k]) * (-0.5j * config.kappa * k)
+        blocks[k][k] = sp.identity(sizes[k]) * (-0.5 * config.kappa * k)
     for k, op in enumerate(lower):
-        blocks[k + 1][k] = np.sqrt(k + 1) * op.matrix
-        blocks[k][k + 1] = blocks[k + 1][k].conj().T
+        blocks[k + 1][k] = -np.sqrt(k + 1) * abs(op.matrix)
+        blocks[k][k + 1] = -blocks[k + 1][k].T
 
     if isinstance(initial, PureState):
         if initial.basis.n_qubits != n:
@@ -160,18 +170,23 @@ def _no_jump_norm_curve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarra
     else:
         patterns, amps = [int(initial)], 1.0
     sector = lower[0].source if lower else enumerate_sector(n, 0)
+    g = config.model.profile.as_array()
+    rows = [state_index(sector, m) for m in patterns]  # checks register and popcount
     psi = np.zeros(sum(sizes), dtype=np.complex128)
-    psi[[state_index(sector, m) for m in patterns]] = amps  # checks register and popcount
+    psi[rows] = amps * _gauge(sector, g / np.abs(g))[rows]
 
-    power = scipy.linalg.expm(-1j * config.dt * sp.bmat(blocks).toarray())  # one step
+    def step(power, cols):  # a real matrix on complex columns, as pairs of real ones
+        return (power @ cols.view(np.float64)).view(np.complex128)
+
+    power = scipy.linalg.expm(config.dt * sp.bmat(blocks).toarray())  # one real step
     cols = psi[:, None]
     while cols.shape[1] < STRIDE:  # doubling: psi_0 .. psi_{2w-1}, then power = step^{2w}
-        cols = np.hstack([cols, power @ cols])
+        cols = np.hstack([cols, step(power, cols)])
         power = power @ power
     norms = np.empty(NORM_GRID_POINTS + 1)
     for start in range(0, NORM_GRID_POINTS + 1, STRIDE):
         if start:  # the last grid point needs only the first column of its block
-            cols = power @ (cols if start < NORM_GRID_POINTS else cols[:, :1])
+            cols = step(power, cols if start < NORM_GRID_POINTS else cols[:, :1])
         norms[start:start + cols.shape[1]] = (cols.real**2 + cols.imag**2).sum(axis=0)
     return config.dt * np.arange(NORM_GRID_POINTS + 1), norms
 

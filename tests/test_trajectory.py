@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from math import comb
 
@@ -5,13 +6,20 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from darkcount.couplings import DisorderSpec, sample_profile, uniform_profile
+from darkcount.couplings import (
+    DEFAULT_DISORDER,
+    CouplingProfile,
+    DisorderSpec,
+    sample_profile,
+    uniform_profile,
+)
 from darkcount.darkspace import dark_subspace
 from darkcount.operators import HamiltonianModel, PureState, build_hamiltonian
 from darkcount.protocol import null_emission_probability
 from darkcount.sector import enumerate_sector
 from darkcount.trajectory import (
     TrajectoryConfig,
+    _no_jump_norm_curve,
     no_click_vs_kappa,
     run_trajectories,
     standard_config,
@@ -170,17 +178,20 @@ def test_kappa_1000_within_two_percent_n3():
     assert abs(stats.p_no_click - expected) <= max(0.02, 4.0 * stats.standard_error)
 
 
-@pytest.mark.parametrize("n,s,superposed", [
-    pytest.param(3, 2, False, id="3-2"),
-    pytest.param(4, 2, False, id="4-2"),
+@pytest.mark.parametrize("n,s,superposed,spec,waiting_factor", [
+    pytest.param(3, 2, False, MILD, 130.0, id="3-2"),
+    pytest.param(4, 2, False, MILD, 130.0, id="4-2"),
     # a non-dark superposition: a mis-ordered photon-0 embedding changes its decay
-    pytest.param(5, 2, True, id="5-2-superposition"),
+    pytest.param(5, 2, True, MILD, 130.0, id="5-2-superposition"),
+    # complex amplitudes on three decades of phased couplings: the gauge of the
+    # coupling phases must land on the amplitudes, not on their conjugates
+    pytest.param(5, 2, True, DEFAULT_DISORDER, 50.0, id="5-2-log3-superposition"),
 ])
-def test_norms_match_full_space_exponential(n, s, superposed):
+def test_norms_match_full_space_exponential(n, s, superposed, spec, waiting_factor):
     from scipy.linalg import expm
 
-    profile = sample_profile(n, MILD, seed=3)
-    cfg = make_config(n, s, profile, trajectories=10, omega=0.7)
+    profile = sample_profile(n, spec, seed=3)
+    cfg = make_config(n, s, profile, trajectories=10, omega=0.7, waiting_factor=waiting_factor)
     if superposed:
         rng = np.random.default_rng(8)
         amps = rng.normal(size=(comb(n, s), 2)) @ [1.0, 1.0j]
@@ -198,6 +209,31 @@ def test_norms_match_full_space_exponential(n, s, superposed):
         walked.append(np.vdot(psi, psi).real)
         psi = step @ psi
     assert np.abs(stats.norm_grid - walked).max() <= 1e-10
+
+
+@pytest.mark.parametrize("spec", [MILD, DEFAULT_DISORDER], ids=["mild", "log3"])
+def test_norms_do_not_depend_on_coupling_phases(spec):
+    # the phases of g are a diagonal unitary on the excitation block
+    for seed in range(8):
+        profile = sample_profile(6, spec, seed=seed)
+        bare = CouplingProfile(tuple(abs(g) for g in profile.values))
+        phased, real = (run_trajectories(make_config(6, 3, p, trajectories=10)).norm_grid
+                        for p in (profile, bare))
+        assert np.abs(phased - real).max() <= 1e-12
+        assert phased[-1] < 0.995  # some bright weight, so the curve is not flat
+
+
+def test_norm_curve_holds_no_complex_dense_block():
+    # at (10, 5) the 638-state block is 3.3 MB in real arithmetic and twice that complex;
+    # expm keeps several of them at once: 28 MiB in all here, 56 MiB for the complex block
+    cfg = make_config(10, 5, sample_profile(10, MILD, seed=0), trajectories=10)
+    tracemalloc.start()
+    try:
+        _no_jump_norm_curve(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.parametrize("dark", [True, False], ids=["dark-superposition", "s0-one-state"])
