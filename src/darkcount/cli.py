@@ -38,21 +38,17 @@ from .couplings import (
     uniform_profile,
 )
 from .darkspace import (
+    BASIS_BYTES_CAP,
     DEFAULT_TOLERANCE,
     MERSENNE_31,
+    dark_basis_bytes,
     dark_subspace,
+    diagonal_fits,
     rank_exact_modp,
     rank_numeric,
 )
 from .operators import S_SQUARED_SECTOR_CAP, HamiltonianModel, build_lowering_block
-from .protocol import (
-    BASIS_BYTES_CAP,
-    dark_basis_bytes,
-    diagonal_fits,
-    measure_d,
-    monte_carlo_protocol,
-    null_emission_probability,
-)
+from .protocol import measure_d, monte_carlo_protocol, null_emission_probability
 from .trajectory import no_click_vs_kappa, run_trajectories, standard_config
 
 SCHEMA_VERSION = 1
@@ -597,8 +593,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"consistency check failed: {exc}", file=sys.stderr)
         _emit(_dump_json(_payload(args.command, config_echo, exc.record)), args.output)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
     if isinstance(result, str):  # csv / svg payloads carry their own format

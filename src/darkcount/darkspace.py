@@ -31,11 +31,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from .counting import ndark_formula
 from .couplings import CouplingProfile
 from .operators import PureState, SectorOperator, build_lowering_block, inclusion_pattern
 from .sector import SectorBasis, enumerate_sector
@@ -45,6 +47,9 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "DarkSubspace",
     "DarkCheck",
+    "BASIS_BYTES_CAP",
+    "dark_basis_bytes",
+    "diagonal_fits",
     "rank_numeric",
     "null_basis",
     "dark_subspace",
@@ -82,6 +87,19 @@ DEFAULT_TOLERANCE = TolerancePolicy()
 
 
 COLUMN_BLOCK_BYTES = 16 << 20  # what one block of a blocked product may take
+BASIS_BYTES_CAP = 256 << 20  # the Gram factor and one block: (18, 9) takes 206 MB, (20, 10) 2.3 GB
+
+
+def dark_basis_bytes(n_qubits: int, n_excited: int) -> int:
+    """Bytes of the real dim x nullity dark basis Q of the (N, s) sector in float64."""
+    return 8 * comb(n_qubits, n_excited) * ndark_formula(n_qubits, n_excited)
+
+
+def diagonal_fits(n_qubits: int, n_excited: int) -> bool:
+    """Whether the nullity^2 Gram factor and one column block of Q fit ``BASIS_BYTES_CAP``."""
+    nullity = ndark_formula(n_qubits, n_excited)
+    block = min(COLUMN_BLOCK_BYTES, dark_basis_bytes(n_qubits, n_excited))
+    return 8 * nullity * nullity + block <= BASIS_BYTES_CAP
 
 
 def _blocks(count: int, row_bytes: int) -> list[slice]:
@@ -101,8 +119,8 @@ class DarkSubspace:
     signs, and the dark vectors are the rows of ``real_basis * phases``.
     The projector's diagonal, the null-emission probability of each
     arrangement, is the squared row norms of Q, streamed over column blocks
-    of K; the weight of one state v, ||L^{-1} K (phases^* v)||^2, takes one
-    triangular solve.  ``nullity_route`` names how the nullity was obtained
+    of K; the ``weight`` of one state v, ||L^{-1} K (phases^* v)||^2, takes
+    one triangular solve.  ``nullity_route`` names how the nullity was obtained
     (the :func:`rank_exact_modp` route, or "convention" at s = 0) and
     ``qr_margin`` is the smallest |L_jj| over its cutoff.
     """
@@ -131,6 +149,13 @@ class DarkSubspace:
     @functools.cached_property
     def basis(self) -> np.ndarray:
         return self.real_basis * self.phases
+
+    def weight(self, psi: np.ndarray) -> float:
+        """<psi|P|psi> = ||L^{-1} K (phases^* psi)||^2, the real and imaginary parts as two
+        right-hand sides of one triangular solve."""
+        rhs = (self.rumer @ (self.phases.conj() * psi)).view(np.float64).reshape(-1, 2)
+        overlaps = scipy.linalg.solve_triangular(self.factor, rhs, lower=True, check_finite=False)
+        return float(np.einsum("ij,ij->", overlaps, overlaps))
 
     def diagonal(self) -> np.ndarray:
         """The projector's diagonal: the squared row norms of Q, one column block at a time."""
@@ -289,10 +314,14 @@ def null_basis(op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERAN
     the nullity, K K^T factors with smallest |L_jj| over
     ``tol_policy.cutoff(1, shape)``, and L_g leaves every phased row of K
     within the :func:`verify_dark` tolerance.  K is converted to CSC once,
-    for the Gram rows and the subspace.
+    for the Gram rows and the subspace.  A sector whose factor fails
+    :func:`diagonal_fits` raises ValueError before any of this work.
     """
-    g, _ = _read_couplings(op)
     n, s = op.source.n_qubits, op.source.n_excited
+    if not diagonal_fits(n, s):
+        raise ValueError(f"the ({n}, {s}) Gram factor is over the protocol cap "
+                         f"of {BASIS_BYTES_CAP >> 20} MiB")
+    g, _ = _read_couplings(op)
     patterns, signs = _rumer_kernel(n, s)
     path = np.argsort(-np.abs(g), kind="stable").astype(np.uint64)  # qubit at each step
     cols = np.searchsorted(op.source.states,

@@ -4,42 +4,25 @@ For an initial product arrangement the probability of never seeing a click
 is the diagonal entry of the dark projector at that arrangement, the squared
 norm of that coordinate over the orthonormal dark basis.  Summing over all
 arrangements of s excitations traces the projector, so the total is the
-dark-state count itself, whatever the couplings.  The gauge
-L_g = D_{s-1}^{-1} W D_s makes the dark space D_s^{-1} ker W, so the
-probabilities are the squared row norms of Q = K^T L^{-T}, for the sparse
-scaled Rumer basis K of ker W and the Cholesky factor L of K K^T, streamed
-over column blocks of K; the coupling phases drop out.  No CLI path forms
-the dim x dim projector, and the protocol holds no dim x nullity array.
+dark-state count itself, whatever the couplings.  The probabilities are
+read through :class:`~darkcount.darkspace.DarkSubspace`, which owns the
+dark space's layout and memory budget: ``diagonal()`` for every
+arrangement, ``weight(psi)`` for one state.  No CLI path forms the
+dim x dim projector, and the protocol holds no dim x nullity array.
 A Bernoulli sampler emulates finite statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
-import scipy.linalg
 
 from .counting import ndark_formula
 from .couplings import CouplingProfile
-from .darkspace import COLUMN_BLOCK_BYTES, DarkSubspace, dark_subspace
+from .darkspace import DarkSubspace, dark_subspace
 from .operators import PureState
 from .sector import state_index
-
-BASIS_BYTES_CAP = 256 << 20  # the Gram factor and one block: (18, 9) takes 206 MB, (20, 10) 2.3 GB
-
-
-def dark_basis_bytes(n_qubits: int, n_excited: int) -> int:
-    """Bytes of the real dim x nullity dark basis Q of the (N, s) sector in float64."""
-    return 8 * comb(n_qubits, n_excited) * ndark_formula(n_qubits, n_excited)
-
-
-def diagonal_fits(n_qubits: int, n_excited: int) -> bool:
-    """Whether the nullity^2 Gram factor and one column block of Q fit ``BASIS_BYTES_CAP``."""
-    nullity = ndark_formula(n_qubits, n_excited)
-    block = min(COLUMN_BLOCK_BYTES, dark_basis_bytes(n_qubits, n_excited))
-    return 8 * nullity * nullity + block <= BASIS_BYTES_CAP
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +34,6 @@ class ProtocolResult:
     per_arrangement: list[tuple[int, float]]
     d_of_s: float
     n_dark_expected: int
-    profile_label: str
     nullity_route: str  # how the dark count behind the basis was obtained
     qr_margin: float | None  # smallest |L_jj| of the basis Gram factor over its cutoff
 
@@ -66,8 +48,6 @@ class MonteCarloResult:
     estimated_d: float
     standard_error: float
     exact_d: float  # D(s) of the ideal protocol that the trials sample
-    seed: int
-    profile_label: str
 
 
 def null_emission_probability(init: int | PureState, sub: DarkSubspace) -> float:
@@ -76,8 +56,8 @@ def null_emission_probability(init: int | PureState, sub: DarkSubspace) -> float
     A normalized state psi gives <psi|P|psi> = sum_j |<d_j|psi>|^2 =
     ||L^{-1} K (phases^* psi)||^2; a basis arrangement (occupation pattern)
     k is psi = e_k, whose value is the k-th diagonal entry of the dark
-    projector.  Either way it is one sparse product and one triangular
-    solve, with the real and imaginary parts as two right-hand sides.
+    projector.  Either way :meth:`DarkSubspace.weight` reads it with one
+    sparse product and one triangular solve.
     """
     if isinstance(init, PureState):
         if init.basis != sub.sector:
@@ -86,9 +66,7 @@ def null_emission_probability(init: int | PureState, sub: DarkSubspace) -> float
     else:
         psi = np.zeros(sub.sector.size, dtype=np.complex128)
         psi[state_index(sub.sector, init)] = 1.0  # validates popcount and bit range
-    rhs = (sub.rumer @ (sub.phases.conj() * psi)).view(np.float64).reshape(-1, 2)
-    overlaps = scipy.linalg.solve_triangular(sub.factor, rhs, lower=True, check_finite=False)
-    return float(np.einsum("ij,ij->", overlaps, overlaps))
+    return sub.weight(psi)
 
 
 def measure_d(n_qubits: int, n_excited: int, profile: CouplingProfile) -> ProtocolResult:
@@ -97,9 +75,6 @@ def measure_d(n_qubits: int, n_excited: int, profile: CouplingProfile) -> Protoc
     The sum equals the trace of the dark projector over the s-sector, i.e.
     the number of independent dark states there.
     """
-    if not diagonal_fits(n_qubits, n_excited):
-        raise ValueError(f"the ({n_qubits}, {n_excited}) Gram factor is over the protocol cap "
-                         f"of {BASIS_BYTES_CAP >> 20} MiB")
     if profile.n_qubits != n_qubits:
         raise ValueError(f"profile has {profile.n_qubits} couplings for {n_qubits} qubits")
     sub = dark_subspace(n_qubits, n_excited, profile)
@@ -111,7 +86,6 @@ def measure_d(n_qubits: int, n_excited: int, profile: CouplingProfile) -> Protoc
         per_arrangement=per,
         d_of_s=float(diag.sum()),
         n_dark_expected=ndark_formula(n_qubits, n_excited),
-        profile_label=profile.label,
         nullity_route=sub.nullity_route,
         qr_margin=sub.qr_margin,
     )
@@ -151,6 +125,4 @@ def monte_carlo_protocol(
         estimated_d=estimate,
         standard_error=float(np.sqrt(var_sum)),
         exact_d=exact.d_of_s,
-        seed=seed,
-        profile_label=profile.label,
     )

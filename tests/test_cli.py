@@ -234,7 +234,8 @@ def test_protocol_16_8_runs(capsys):
 def test_protocol_and_trajectory_share_the_diagonal_gate(capsys, monkeypatch):
     from darkcount import cli
     from darkcount.couplings import uniform_profile
-    from darkcount.protocol import diagonal_fits, measure_d
+    from darkcount.darkspace import diagonal_fits
+    from darkcount.protocol import measure_d
 
     assert diagonal_fits(18, 9) and not diagonal_fits(20, 10)
     with pytest.raises(ValueError, match="over the protocol cap"):
@@ -242,6 +243,20 @@ def test_protocol_and_trajectory_share_the_diagonal_gate(capsys, monkeypatch):
     monkeypatch.setattr(cli, "diagonal_fits", lambda n, s: (n, s) != (2, 1))
     data = run_json(capsys, "trajectory", "--n", "2", "--s", "1", "--trajectories", "10")["data"]
     assert "projector_expectation" not in data
+
+
+def test_memory_error_is_a_clean_error(capsys, monkeypatch):
+    from darkcount import trajectory
+
+    def exhausted(config):
+        raise MemoryError("Unable to allocate 11.5 GiB for an array")
+
+    monkeypatch.setattr(trajectory, "_no_jump_norm_curve", exhausted)
+    code = main(["trajectory", "--n", "4", "--s", "2", "--trajectories", "10"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and "11.5 GiB" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command,s,d", [("protocol", 1, 24), ("protocol", 0, 1),

@@ -474,6 +474,22 @@ def test_gram_breakdown_names_the_sector_and_the_pivot(monkeypatch):
         null_basis(op)
 
 
+def test_null_basis_refuses_an_oversized_factor_before_any_work(monkeypatch):
+    def reached(n, s):
+        pytest.fail(f"null_basis built the ({n}, {s}) Rumer kernel of a sector over the cap")
+
+    monkeypatch.setattr(darkspace, "_rumer_kernel", reached)
+    op = build_lowering_block(20, 10, uniform_profile(20, 1.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="over the protocol cap"):
+            null_basis(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak  # the 16796^2 Gram matrix alone would take 2.3 GB
+
+
 def test_null_basis_reports_how_it_was_obtained():
     sub = dark_subspace(10, 5, sample_profile(10, DisorderSpec(1e-8, 1.0, True, "log-uniform"), 1))
     assert sub.nullity == 42
