@@ -124,7 +124,7 @@ def _margins(report: dict) -> dict:
 
 
 def _profile_from_args(args, n_qubits: int) -> CouplingProfile:
-    """Build the coupling profile from the flags of ``_add_profile_flags``."""
+    """Build the coupling profile from the profile flags of a sector subcommand."""
     if args.profile_json:
         profile = profile_from_json(Path(args.profile_json).read_text())
         if profile.n_qubits != n_qubits:
@@ -141,20 +141,6 @@ def _profile_from_args(args, n_qubits: int) -> CouplingProfile:
             distribution=spec.distribution if args.dist is None else args.dist,
         )
     return sample_profile(n_qubits, spec, args.seed)
-
-
-def _add_profile_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--uniform", type=float, default=None, metavar="G",
-                     help="uniform coupling strength instead of disorder")
-    sub.add_argument("--disorder", choices=sorted(DISORDER_PRESETS), default="log3",
-                     help="disorder preset (default %(default)s; log3: 3 decades, random phases)")
-    sub.add_argument("--g-min", type=float, default=None, help="override magnitude low")
-    sub.add_argument("--g-max", type=float, default=None, help="override magnitude high")
-    sub.add_argument("--dist", choices=["log-uniform", "uniform"], default=None,
-                     help="override magnitude distribution")
-    sub.add_argument("--no-phases", action="store_true", help="zero coupling phases")
-    sub.add_argument("--profile-json", default=None, metavar="PATH",
-                     help="import couplings from a JSON file of (re, im) pairs")
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
@@ -179,38 +165,23 @@ def cmd_count(args) -> dict:
     results = []
     for s in s_values:
         formula = ndark_formula(n, s)
-        methods: dict[str, dict] = {}
         size = comb(n, s)
-
-        # both sparse rank routes build the s and s-1 sectors; gate on the larger
-        fits = s > 0 and max(size, comb(n, s - 1)) <= args.exact_cap
-
-        if s == 0:
-            # no lowering block: the all-ground state is dark by convention
-            methods["numeric"] = {"ran": True, "value": 1}
-        elif fits:
-            how = {}
+        if s == 0:  # no lowering block: the all-ground state is dark by convention
+            numeric = modp = {"ran": False,
+                              "why": "no lowering block at s=0; nullity 1 by convention"}
+        elif max(size, comb(n, s - 1)) <= args.exact_cap:  # both routes build s and s-1
+            how, cert = {}, {}
             rank = rank_numeric(build_lowering_block(n, s, profile), report=how)
-            methods["numeric"] = {"ran": True, "value": size - rank, **_margins(how)}
+            numeric = {"ran": True, "value": size - rank, **_margins(how)}
+            rank = rank_exact_modp(n, s, report=cert)
+            modp = {"ran": True, "rank": rank, "value": size - rank, **cert}
         else:
-            methods["numeric"] = {"ran": False, "why": "s or s-1 sector size over cap"}
-
+            numeric = modp = {"ran": False, "why": "s or s-1 sector size over cap"}
         if size <= S_SQUARED_SECTOR_CAP:
-            methods["oracle"] = {"ran": True, "value": count_dark_uniform_oracle(n, s)}
+            oracle = {"ran": True, "value": count_dark_uniform_oracle(n, s)}
         else:
-            methods["oracle"] = {"ran": False, "why": f"sector size {size} over dense S^2 cap"}
-
-        if s == 0:
-            methods["exact_modp"] = {
-                "ran": False,
-                "why": "no lowering block at s=0; nullity 1 by convention",
-            }
-        elif fits:
-            how: dict = {}
-            rank = rank_exact_modp(n, s, report=how)
-            methods["exact_modp"] = {"ran": True, "rank": rank, "value": size - rank, **how}
-        else:
-            methods["exact_modp"] = {"ran": False, "why": "s or s-1 sector size over cap"}
+            oracle = {"ran": False, "why": f"sector size {size} over dense S^2 cap"}
+        methods = {"numeric": numeric, "oracle": oracle, "exact_modp": modp}
 
         got = [m["value"] for m in methods.values() if m.get("ran")]
         agree = all(v == formula for v in got) if got else None  # None: nothing checked it
@@ -473,47 +444,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"darkcount {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("count", help="dark-state count by every applicable method")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, default=None)
+    def sector(name: str, func, help: str, s_required: bool = True):
+        """A subcommand on one (N, s) sector: --n, --s, the profile and the common flags."""
+        p = subs.add_parser(name, help=help)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--s", type=int, required=s_required)
+        p.add_argument("--uniform", type=float, default=None, metavar="G",
+                       help="uniform coupling strength instead of disorder")
+        p.add_argument("--disorder", choices=sorted(DISORDER_PRESETS), default="log3",
+                       help="disorder preset (default %(default)s; "
+                            "log3: 3 decades, random phases)")
+        p.add_argument("--g-min", type=float, default=None, help="override magnitude low")
+        p.add_argument("--g-max", type=float, default=None, help="override magnitude high")
+        p.add_argument("--dist", choices=["log-uniform", "uniform"], default=None,
+                       help="override magnitude distribution")
+        p.add_argument("--no-phases", action="store_true", help="zero coupling phases")
+        p.add_argument("--profile-json", default=None, metavar="PATH",
+                       help="import couplings from a JSON file of (re, im) pairs")
+        _add_common_flags(p)
+        p.set_defaults(func=func)
+        return p
+
+    p = sector("count", cmd_count, "dark-state count by every applicable method",
+               s_required=False)
     p.add_argument("--all-s", action="store_true")
     p.add_argument("--exact-cap", type=int, default=EXACT_SECTOR_CAP,
                    help="largest s or s-1 sector size for both sparse rank routes, "
                         "numeric and exact F_p")
-    _add_profile_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_count)
 
-    p = subs.add_parser("rank", help="rank of the lowering block, exact and/or numeric")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p = sector("rank", cmd_rank, "rank of the lowering block, exact and/or numeric")
     p.add_argument("--method", choices=["modp", "numeric", "both"], default="modp")
-    _add_profile_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_rank)
 
-    p = subs.add_parser("darkbasis", help="orthonormal dark basis and projector diagonal")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    _add_profile_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_darkbasis)
+    sector("darkbasis", cmd_darkbasis, "orthonormal dark basis and projector diagonal")
 
-    p = subs.add_parser("protocol", help="exact null-emission probabilities and D(s)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p = sector("protocol", cmd_protocol, "exact null-emission probabilities and D(s)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_profile_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_protocol)
 
-    p = subs.add_parser("montecarlo", help="finite-trials estimate of D(s)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p = sector("montecarlo", cmd_montecarlo, "finite-trials estimate of D(s)")
     p.add_argument("--trials", type=int, default=10_000)
-    _add_profile_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_montecarlo)
 
     p = subs.add_parser("sweep", help="order parameter vs filling, with the limit curve")
     p.add_argument("--n-list", default="4,8,12,16,20")
@@ -521,9 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = subs.add_parser("trajectory", help="quantum-jump heralding simulation")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p = sector("trajectory", cmd_trajectory, "quantum-jump heralding simulation")
     p.add_argument("--initial", default=None,
                    help="initial arrangement as a bitstring (qubit 1 rightmost)")
     p.add_argument("--kappa-ratio", type=float, default=100.0,
@@ -537,12 +503,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include a first-click-time histogram")
     p.add_argument("--format", choices=["json", "csv"], default="json",
                    help="csv emits the first-click-time histogram")
-    _add_profile_flags(p)
-    _add_common_flags(p)
     # a lone bright mode at g_min decays at 4 g_min^2 / kappa, so at the default
     # kappa = 100 g_max the horizon 50 / g_min drains it only by exp(-2 g_min / g_max):
     # exp(-0.002) under log3's three decades.  So trajectories default to narrow.
-    p.set_defaults(func=cmd_trajectory, disorder="narrow")
+    p.set_defaults(disorder="narrow")
 
     return parser
 

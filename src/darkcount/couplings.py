@@ -9,6 +9,7 @@ given key is specified by numpy and reproduces bit-for-bit across platforms.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,9 @@ class CouplingProfile:
     def __post_init__(self):
         if len(self.values) == 0:
             raise ValueError("a coupling profile needs at least one qubit")
-        mags = [abs(g) for g in self.values]
-        if min(mags) == 0.0:
-            j = mags.index(0.0)
-            raise ValueError(f"coupling g_{j + 1} is zero; all couplings must be nonzero")
+        for j, g in enumerate(self.values, 1):
+            if not 0.0 < abs(g) < math.inf:  # NaN fails it too
+                raise ValueError(f"coupling g_{j} is {g}; couplings must be finite and nonzero")
 
     @property
     def n_qubits(self) -> int:
@@ -66,9 +66,9 @@ class DisorderSpec:
     distribution: str = "log-uniform"  # or "uniform"
 
     def __post_init__(self):
-        if not 0.0 < self.magnitude_low <= self.magnitude_high:
+        if not 0.0 < self.magnitude_low <= self.magnitude_high < math.inf:
             raise ValueError(
-                f"need 0 < magnitude_low <= magnitude_high, got "
+                f"need 0 < magnitude_low <= magnitude_high < inf, got "
                 f"[{self.magnitude_low}, {self.magnitude_high}]"
             )
         if self.distribution not in ("log-uniform", "uniform"):
@@ -82,8 +82,8 @@ DEFAULT_DISORDER = DisorderSpec(1e-3, 1.0, phase_random=True, distribution="log-
 
 def uniform_profile(n_qubits: int, g: float) -> CouplingProfile:
     """All qubits coupled with the same real strength g > 0."""
-    if g <= 0:
-        raise ValueError(f"uniform coupling must be positive, got {g}")
+    if not 0.0 < g < math.inf:
+        raise ValueError(f"uniform coupling must be finite and positive, got {g}")
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
     return CouplingProfile(values=(complex(g),) * n_qubits, label=f"uniform g={g}")

@@ -58,32 +58,23 @@ class TrajectoryConfig:
     waiting_factor: float = 50.0
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if not 0.0 < self.kappa < math.inf:  # written so that NaN fails it too
+            raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
+        if not 0.0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1")
         g_min = self.model.profile.min_magnitude
-        if self.t_max * g_min < self.waiting_factor * (1.0 - 1e-12):
+        if not self.t_max * g_min >= self.waiting_factor * (1.0 - 1e-12):
             raise ValueError(
                 f"t_max={self.t_max:g} below the waiting-time threshold "
                 f"{self.waiting_factor / g_min:g} set by the weakest coupling"
-            )
-        n_exc = self._initial_excitations()
-        if self.model.n_photon_max < n_exc:
-            raise ValueError(
-                f"photon truncation {self.model.n_photon_max} cannot hold the "
-                f"{n_exc} initial excitations"
             )
 
     @property
     def dt(self) -> float:
         """Spacing of the norm grid: t_max split into NORM_GRID_POINTS exact steps."""
         return self.t_max / NORM_GRID_POINTS
-
-    def _initial_excitations(self) -> int:
-        if isinstance(self.initial, PureState):
-            return self.initial.basis.n_excited
-        return int(self.initial).bit_count()
 
 
 def standard_config(
@@ -108,13 +99,13 @@ def standard_config(
 
 @dataclass(frozen=True)
 class FirstClickSummary:
-    """Summary statistics of first-click times over the clicked trajectories."""
+    """First-click-time statistics over the clicked trajectories; None where none clicked."""
 
     count: int
-    mean: float
-    std: float
-    min: float
-    max: float
+    mean: float | None
+    std: float | None
+    min: float | None
+    max: float | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +144,14 @@ def _no_jump_norm_curve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarra
     doubling builds psi_0 .. psi_{STRIDE-1} and step^STRIDE, then each
     block is one dense product of step^STRIDE with the block before it.
     """
-    n, s, initial = config.model.n_qubits, config._initial_excitations(), config.initial
+    n, initial = config.model.n_qubits, config.initial
+    if isinstance(initial, PureState):
+        if initial.basis.n_qubits != n:
+            raise ValueError("initial state register size differs from the model")
+        s = initial.basis.n_excited
+        patterns, amps = initial.basis.states, initial.normalized().amplitudes
+    else:
+        s, patterns, amps = int(initial).bit_count(), [int(initial)], 1.0
     lower = [build_lowering_block(n, s - k, config.model.profile) for k in range(s)]
     sizes = [op.shape[1] for op in lower] + [1]  # k = s photons: the all-ground state
     blocks = [[None] * (s + 1) for _ in range(s + 1)]
@@ -163,12 +161,6 @@ def _no_jump_norm_curve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarra
         blocks[k + 1][k] = -np.sqrt(k + 1) * abs(op.matrix)
         blocks[k][k + 1] = -blocks[k + 1][k].T
 
-    if isinstance(initial, PureState):
-        if initial.basis.n_qubits != n:
-            raise ValueError("initial state register size differs from the model")
-        patterns, amps = initial.basis.states, initial.normalized().amplitudes
-    else:
-        patterns, amps = [int(initial)], 1.0
     sector = lower[0].source if lower else enumerate_sector(n, 0)
     g = config.model.profile.as_array()
     rows = [state_index(sector, m) for m in patterns]  # checks register and popcount
@@ -226,7 +218,7 @@ def run_trajectories(config: TrajectoryConfig) -> ClickStatistics:
             max=float(click_times.max()),
         )
     else:
-        summary = FirstClickSummary(count=0, mean=np.nan, std=np.nan, min=np.nan, max=np.nan)
+        summary = FirstClickSummary(count=0, mean=None, std=None, min=None, max=None)
 
     p_no = n_no / config.n_trajectories
     se = float(np.sqrt(p_no * (1.0 - p_no) / config.n_trajectories))

@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from darkcount.cli import main
+from darkcount import cli
+from darkcount.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +86,16 @@ def test_count_with_no_method_run_claims_no_agreement(capsys):
 def test_count_all_s(capsys):
     payload = run_json(capsys, "count", "--n", "5", "--all-s")
     assert [r["formula"] for r in payload["data"]["results"]] == [1, 4, 5, 0, 0, 0]
+
+
+def test_count_at_s0_runs_no_rank_route(capsys):
+    # no lowering block exists at s = 0, so only the S^2 oracle checks the closed form
+    (result,) = run_json(capsys, "count", "--n", "4", "--s", "0")["data"]["results"]
+    why = "no lowering block at s=0; nullity 1 by convention"
+    assert result["methods"]["numeric"] == {"ran": False, "why": why}
+    assert result["methods"]["exact_modp"] == {"ran": False, "why": why}
+    assert result["methods"]["oracle"] == {"ran": True, "value": 1}
+    assert result["agree"] is True
 
 
 @pytest.mark.parametrize("n,s,g_min", [(8, 4, "1e-8"), (10, 5, "1e-6")])
@@ -531,6 +542,80 @@ def test_profile_json_of_another_length_is_refused(capsys, tmp_path, command):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert "2 couplings for --n 4" in captured.err
+
+
+@pytest.mark.parametrize("argv,names", [
+    ("trajectory --n 2 --s 1 --kappa-ratio nan", "kappa"),
+    ("trajectory --n 2 --s 1 --waiting-factor nan", "t_max"),
+    ("trajectory --n 2 --s 1 --kappa-ratios nan,100", "kappa"),
+    ("trajectory --n 2 --s 1 --g-max inf", "magnitude_high"),
+    ("count --n 4 --s 2 --g-max inf", "magnitude_high"),
+    ("protocol --n 2 --s 1 --uniform nan", "uniform coupling"),
+    ("trajectory --n 2 --s 0 --uniform nan", "uniform coupling"),
+    ("protocol --n 2 --s 1 --profile-json {nan}", "coupling g_2"),
+    ("trajectory --n 2 --s 0 --profile-json {nan}", "coupling g_2"),
+])
+def test_non_finite_numbers_are_a_clean_error(capsys, tmp_path, argv, names):
+    path = tmp_path / "nan.json"
+    path.write_text("[[1.0, 0.0], [NaN, 0.0]]")
+    code = main(argv.format(nan=path).split())
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert names in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    "count --n 4 --all-s", "rank --n 4 --s 2 --method both", "darkbasis --n 4 --s 2",
+    "protocol --n 4 --s 2", "montecarlo --n 4 --s 2 --trials 100", "sweep --n-list 3,4",
+    "trajectory --n 2 --s 1 --trajectories 100", "trajectory --n 2 --s 0 --histogram",
+    "trajectory --n 2 --s 0 --kappa-ratios 10,100",
+])
+def test_output_is_strict_json(capsys, argv):
+    # RFC 8259 has no NaN or Infinity: nothing that never clicked may print them
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 0
+    json.loads(out, parse_constant=refuse)
+
+
+def test_no_click_statistics_are_null(capsys):
+    data = run_json(capsys, "trajectory", "--n", "2", "--s", "0")["data"]
+    assert data["n_click"] == 0 and data["p_no_click"] == 1.0
+    assert data["first_click_times"] == {"count": 0, "mean": None, "std": None,
+                                         "min": None, "max": None}
+
+
+PROFILE_DEFAULTS = {"uniform": None, "disorder": "log3", "g_min": None, "g_max": None,
+                    "dist": None, "no_phases": False, "profile_json": None}
+COMMON_DEFAULTS = {"seed": 0, "output": None, "config": None}
+
+
+@pytest.mark.parametrize("argv,own", [
+    ("count --n 4", {"s": None, "all_s": False, "exact_cap": 705432}),
+    ("rank --n 4 --s 2", {"s": 2, "method": "modp"}),
+    ("darkbasis --n 4 --s 2", {"s": 2}),
+    ("protocol --n 4 --s 2", {"s": 2, "format": "json"}),
+    ("montecarlo --n 4 --s 2", {"s": 2, "trials": 10000}),
+    ("trajectory --n 2 --s 1",
+     {"n": 2, "s": 1, "initial": None, "kappa_ratio": 100.0, "kappa_ratios": None,
+      "trajectories": 10000, "waiting_factor": 50.0, "histogram": False, "format": "json",
+      "disorder": "narrow"}),
+])
+def test_sector_subcommands_parse_to_the_same_namespace(argv, own):
+    args = vars(build_parser().parse_args(argv.split()))
+    command = argv.split()[0]
+    assert args.pop("func") is getattr(cli, f"cmd_{command}")
+    assert args == {"command": command, "n": 4, **PROFILE_DEFAULTS, **COMMON_DEFAULTS, **own}
+
+
+def test_sweep_parses_to_the_same_namespace():
+    args = vars(build_parser().parse_args(["sweep"]))
+    assert args.pop("func") is cli.cmd_sweep
+    assert args == {"command": "sweep", "n_list": "4,8,12,16,20", "format": "json",
+                    **COMMON_DEFAULTS}
 
 
 def test_schema_version_present(capsys):

@@ -30,6 +30,16 @@ def test_profile_rejects_zero_coupling():
         CouplingProfile((1.0 + 0j, 0j, 2.0 + 0j))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1.0, float("nan"))])
+def test_profile_rejects_non_finite_couplings(bad):
+    with pytest.raises(ValueError, match="g_2"):
+        CouplingProfile((1.0 + 0j, bad))
+    with pytest.raises(ValueError):
+        uniform_profile(2, abs(bad))
+    with pytest.raises(ValueError):
+        DisorderSpec(0.5, abs(bad))
+
+
 def test_sample_magnitudes_in_range():
     spec = DisorderSpec(1e-2, 1.0, phase_random=True, distribution="log-uniform")
     prof = sample_profile(4, spec, seed=7)

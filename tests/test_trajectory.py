@@ -267,6 +267,25 @@ def test_deterministic_per_seed():
     assert a.first_click_times == b.first_click_times
 
 
+@pytest.mark.parametrize("field,value", [("kappa", float("nan")), ("kappa", float("inf")),
+                                         ("t_max", float("nan")), ("t_max", float("inf")),
+                                         ("waiting_factor", float("nan"))])
+def test_config_refuses_non_finite_numbers(field, value):
+    model = HamiltonianModel(2, uniform_profile(2, 1.0), omega=1.0, n_photon_max=1)
+    config = dict(model=model, kappa=100.0, t_max=50.0, n_trajectories=10, seed=0, initial=0b01)
+    with pytest.raises(ValueError, match="kappa|t_max|waiting-time"):
+        TrajectoryConfig(**{**config, field: value})
+
+
+def test_photon_truncation_does_not_bound_the_block_engine():
+    # the excitation block holds 0..s photons whatever n_photon_max says
+    profile = uniform_profile(2, 1.0)
+    curves = [run_trajectories(standard_config(HamiltonianModel(2, profile, n_photon_max=m),
+                                               100.0, initial=0b11, n_trajectories=10))
+              for m in (1, 2)]
+    assert np.array_equal(curves[0].norm_grid, curves[1].norm_grid)
+
+
 def test_config_validation():
     prof = uniform_profile(2, 1.0)
     model = HamiltonianModel(2, prof, omega=1.0, n_photon_max=1)
@@ -276,9 +295,6 @@ def test_config_validation():
     with pytest.raises(ValueError, match="kappa"):
         TrajectoryConfig(model=model, kappa=-1.0, t_max=50.0,
                          n_trajectories=10, seed=0, initial=0b01)
-    with pytest.raises(ValueError, match="truncation"):
-        TrajectoryConfig(model=model, kappa=100.0, t_max=50.0,
-                         n_trajectories=10, seed=0, initial=0b11)
     with pytest.raises(ValueError, match="outside"):
         run_trajectories(standard_config(model, 100.0, initial=0b100))
     with pytest.raises(ValueError, match="register size"):
