@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from datetime import datetime, timezone
 from math import comb
 from pathlib import Path
@@ -85,13 +87,52 @@ def _now_iso() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True) + "\n"  # no indent: keeps json's C encoder
+def _dump_json(payload: dict) -> Iterator[str]:
+    """``json.dumps(payload, sort_keys=True)`` and a newline, in pieces.
+
+    An ndarray value in ``payload["data"]`` is written one row per piece, so
+    the record never exists as nested lists of Python floats or as one string.
+    The rest goes through json's C encoder: each other value of ``data`` on
+    its own, and the payload without ``data`` as one text cut at its slot.  A
+    JSON string holds no unescaped quote, and outside ``data`` the only keys
+    are the payload's own, the flag names and ``timestamp``, so no input can
+    write ``"data": null`` a second time.
+    """
+    data, slot = payload["data"], '"data": null'
+    text = json.dumps({**payload, "data": None}, sort_keys=True)  # no indent: C encoder
+    pieces = text.split(slot)
+    assert len(pieces) == 2, f"{slot} occurs {len(pieces) - 1} times"
+    yield pieces[0] + '"data": {'
+    for i, key in enumerate(sorted(data)):
+        value = data[key]
+        yield (", " if i else "") + json.dumps(key) + ": "
+        if isinstance(value, np.ndarray):
+            yield from _array_rows(value)
+        else:
+            yield json.dumps(value, sort_keys=True)
+    yield "}" + pieces[1] + "\n"
 
 
-def _emit(text: str, output: str | None) -> None:
+def _array_rows(array: np.ndarray) -> Iterator[str]:
+    """``json.dumps(array.tolist())`` for a float array, one string per row.
+
+    Each row fills a ``%r`` template, built once, in C; ``%r`` writes
+    nan and inf where json writes NaN and Infinity.
+    """
+    row = "%r"
+    for size in reversed(array.shape[1:]):
+        row = "[" + ", ".join([row] * size) + "]"
+    finite = bool(np.isfinite(array).all())
+    yield "["
+    for i, values in enumerate(array):
+        text = (", " + row if i else row) % tuple(values.ravel().tolist())
+        yield text if finite else text.replace("nan", "NaN").replace("inf", "Infinity")
+    yield "]"
+
+
+def _emit(chunks: Iterable[str], output: str | None) -> None:
     if output is None or output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     path = Path(output)
     if not path.is_absolute():
@@ -99,7 +140,8 @@ def _emit(text: str, output: str | None) -> None:
         if base:
             path = Path(base) / path
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with path.open("w") as stream:
+        stream.writelines(chunks)
     print(f"wrote {path}", file=sys.stderr)
 
 
@@ -257,7 +299,7 @@ def cmd_darkbasis(args) -> dict:
         "n": n, "s": s, "nullity": sub.nullity, "formula": ndark_formula(n, s),
         "nullity_route": sub.nullity_route, **_margins({"qr_margin": sub.qr_margin}),
         "checks": checks, "profile": profile_record(profile),
-        "basis": sub.basis[..., None].view(np.float64).tolist(),  # [re, im] per amplitude
+        "basis": sub.basis[..., None].view(np.float64),  # [re, im] per amplitude
         "projector_diagonal": diagonal.tolist(),
     }
     if not (checks["trace_matches_nullity"] and ortho <= 1e-10):
@@ -436,6 +478,7 @@ def _click_histogram(stats) -> list[dict]:
 # --------------------------------------------------------------------------
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="darkcount",
@@ -562,7 +605,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     if isinstance(result, str):  # csv / svg payloads carry their own format
-        _emit(result, args.output)
+        _emit([result], args.output)
         return 0
     _emit(_dump_json(_payload(args.command, config_echo, result)), args.output)
     return 0

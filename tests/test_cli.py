@@ -1,6 +1,10 @@
 import json
+import os
+import sys
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from darkcount import cli
@@ -178,9 +182,9 @@ def test_darkbasis_refuses_a_projector_over_the_cap(capsys):
     assert "BASIS_BYTES_CAP" in capsys.readouterr().err
 
 
-def test_darkbasis_fails_on_rows_that_are_not_orthonormal(capsys, monkeypatch):
-    from darkcount import cli
-
+@pytest.fixture
+def skewed_rows(monkeypatch):
+    """dark_subspace with its first real basis row stretched by 1e-6."""
     original = cli.dark_subspace
 
     def skewed(n, s, profile):
@@ -191,6 +195,9 @@ def test_darkbasis_fails_on_rows_that_are_not_orthonormal(capsys, monkeypatch):
         return sub
 
     monkeypatch.setattr(cli, "dark_subspace", skewed)
+
+
+def test_darkbasis_fails_on_rows_that_are_not_orthonormal(capsys, skewed_rows):
     code, out = run_cli(capsys, "darkbasis", "--n", "6", "--s", "3")
     assert code == 2
     checks = json.loads(out)["data"]["checks"]
@@ -622,3 +629,107 @@ def test_schema_version_present(capsys):
     payload = run_json(capsys, "count", "--n", "2", "--s", "1")
     assert payload["schema_version"] == 1
     assert "timestamp" in payload["meta"]
+
+
+def test_main_calls_share_the_parser_but_no_values(capsys):
+    assert build_parser() is build_parser()
+    first = run_json(capsys, "count", "--n", "4", "--s", "2", "--uniform", "1")["config"]
+    second = run_json(capsys, "count", "--n", "4", "--s", "2")["config"]
+    assert first["uniform"] == 1.0
+    assert second["uniform"] is None
+
+
+# --------------------------------------------------------------------------
+# the streamed record: the bytes json.dumps writes for the record as lists
+# --------------------------------------------------------------------------
+
+
+def listed(payload):
+    """The payload with each ndarray in data as nested lists, as records once held them."""
+    data = {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in payload["data"].items()}
+    return {**payload, "data": data}
+
+
+@pytest.fixture
+def printed(monkeypatch):
+    """Gives, for each payload main hands to _dump_json, json.dumps of it as lists."""
+    seen = []
+    dump = cli._dump_json
+
+    def spy(payload):
+        seen.append(payload)
+        return dump(payload)
+
+    monkeypatch.setattr(cli, "_dump_json", spy)
+    return lambda: [json.dumps(listed(payload), sort_keys=True) + "\n" for payload in seen]
+
+
+@pytest.mark.parametrize("argv", [
+    "darkbasis --n 4 --s 2", "darkbasis --n 4 --s 2 --seed 1",
+    "darkbasis --n 6 --s 3", "darkbasis --n 6 --s 3 --seed 1",
+    "darkbasis --n 6 --s 3 --uniform 1",
+    "darkbasis --n 3 --s 0",  # a 1 x 1 basis
+    "darkbasis --n 4 --s 3",  # over half filling: nullity 0, basis []
+    "count --n 4 --all-s",
+])
+def test_streamed_record_matches_json_dumps(capsys, printed, argv):
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert [out] == printed()
+
+
+def test_failed_darkbasis_record_is_streamed_the_same_way(capsys, printed, skewed_rows):
+    code, out = run_cli(capsys, "darkbasis", "--n", "6", "--s", "3")
+    assert code == 2
+    assert [out] == printed()
+
+
+def test_non_finite_rows_print_as_json_dumps_does():
+    array = np.array([[[np.nan, np.inf], [-np.inf, -0.0]], [[0.0, 1e-300], [-2.5, 1e16]]])
+    payload = {"command": "x", "data": {"a": array, "b": [np.nan], "z": array[0, 0]}}
+    text = "".join(cli._dump_json(payload))
+    assert text == json.dumps(listed(payload), sort_keys=True) + "\n"
+    assert "[[NaN, Infinity], [-Infinity, -0.0]]" in text
+
+
+@pytest.mark.parametrize("label", ['"data": null', {"data": None}])
+def test_no_input_repeats_the_data_slot(capsys, printed, tmp_path, label):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"label": label, "couplings": [[1, 0], [0.5, 0.5], [2, 0]]}))
+    config = tmp_path / 'x"data": null.cfg'
+    config.write_text('disorder = log1  # "data": null\n')
+    code, out = run_cli(capsys, "darkbasis", "--n", "3", "--s", "1",
+                        "--profile-json", str(profile), "--config", str(config))
+    assert code == 0
+    assert [out] == printed()
+    assert json.loads(out)["data"]["profile"]["label"] == label
+
+
+def test_output_file_holds_what_stdout_prints(capsys, monkeypatch, printed, tmp_path):
+    monkeypatch.setattr(cli, "_now_iso", lambda: "2000-01-01T00:00:00+00:00")
+    path = tmp_path / "basis.json"
+    argv = ["darkbasis", "--n", "6", "--s", "3", "--seed", "1", "-o"]
+    code, out = run_cli(capsys, *argv, "-")
+    assert code == 0
+    assert main([*argv, str(path)]) == 0
+    text = path.read_text()
+    assert [out, text] == printed()
+    assert text == out.replace('"output": "-"', f'"output": {json.dumps(str(path))}')
+
+
+def test_darkbasis_builds_no_per_amplitude_lists(monkeypatch):
+    # Printed through nested lists and one whole-record string, the (10, 5)
+    # basis peaked at 3,792,000-3,808,000 bytes under tracemalloc (stdout to
+    # os.devnull, after one warm-up run); row by row it peaks at 562,000.
+    argv = ["darkbasis", "--n", "10", "--s", "5"]
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1_270_000  # a third of the nested-list peak
