@@ -290,9 +290,9 @@ def _inclusion_matrix(n_qubits: int, n_excited: int) -> sp.csc_matrix:
                          shape=(target.size, indptr.size - 1))
 
 
-def _witness(n_qubits: int, n_excited: int, cols: np.ndarray, signs: np.ndarray) -> int:
+def _witness(w: sp.csc_matrix, n_excited: int, cols: np.ndarray, signs: np.ndarray) -> int:
     """Nonzero entries of W K_int^T, for the +-1 Rumer signs K_int on ``cols``; 0 on ker W."""
-    w, (count, width) = _inclusion_matrix(n_qubits, n_excited), cols.shape
+    count, width = cols.shape
     k_int = sp.csr_matrix((np.resize(signs, cols.size).astype(np.int64), cols.ravel(),
                            np.arange(0, cols.size + 1, width)), shape=(count, w.shape[1]))
     return sum((w @ k_int[rows].T).count_nonzero()  # s 2^s products a vector
@@ -309,13 +309,13 @@ def null_basis(op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERAN
     the Cholesky factor L of K K^T has |L_jj| >= 2^{-s/2} in exact
     arithmetic, at any disorder.  The dark vectors are the rows of
     L^{-1} K times the phases conj(D_s / |D_s|).  The nullity is the
-    dimension minus :func:`rank_exact_modp`.  Raises ValueError unless
-    W K_int^T = 0 exactly for the +-1 signs K_int, the Rumer count equals
-    the nullity, K K^T factors with smallest |L_jj| over
-    ``tol_policy.cutoff(1, shape)``, and L_g leaves every phased row of K
-    within the :func:`verify_dark` tolerance.  K is converted to CSC once,
-    for the Gram rows and the subspace.  A sector whose factor fails
-    :func:`diagonal_fits` raises ValueError before any of this work.
+    dimension minus :func:`rank_exact_modp`, on the witness's own W.
+    Raises ValueError unless W K_int^T = 0 exactly for the +-1 signs
+    K_int, the Rumer count equals the nullity, K K^T factors with smallest
+    |L_jj| over ``tol_policy.cutoff(1, shape)``, and L_g leaves every
+    phased row of K within the :func:`verify_dark` tolerance.  K is
+    converted to CSC once, for the Gram rows and the subspace.  A sector
+    whose factor fails :func:`diagonal_fits` raises ValueError first.
     """
     n, s = op.source.n_qubits, op.source.n_excited
     if not diagonal_fits(n, s):
@@ -326,11 +326,12 @@ def null_basis(op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERAN
     path = np.argsort(-np.abs(g), kind="stable").astype(np.uint64)  # qubit at each step
     cols = np.searchsorted(op.source.states,
                            sum(((patterns >> p) & 1) << path[p] for p in range(n)))
-    if witness := _witness(n, s, cols, signs):
+    w = _inclusion_matrix(n, s)  # one W for the witness and the rank certificate
+    if witness := _witness(w, s, cols, signs):
         raise ValueError(f"the ({n}, {s}) Rumer vectors fail the integer witness: "
                          f"W K^T has {witness} nonzero entries")
     how: dict = {}
-    nullity = op.shape[1] - rank_exact_modp(n, s, report=how)
+    nullity = op.shape[1] - _certify(w, n, s, MERSENNE_31, how)
     if len(cols) != nullity:
         raise ValueError(f"{len(cols)} Rumer vectors for the exact nullity {nullity}")
     d_s = _gauge(op.source, g)
@@ -450,8 +451,12 @@ def rank_exact_modp(
         raise ValueError("n_excited must lie in [1, n_qubits] for a lowering block")
     if prime.bit_length() > 31 or prime < 3 or prime % 2 == 0:
         raise ValueError("prime must be an odd prime with at most 31 bits")
+    return _certify(_inclusion_matrix(n_qubits, n_excited), n_qubits, n_excited, prime, report)
 
-    w = _inclusion_matrix(n_qubits, n_excited)
+
+def _certify(w: sp.csc_matrix, n_qubits: int, n_excited: int, prime: int,
+             report: dict | None) -> int:
+    """:func:`rank_exact_modp` on a W already built, which :func:`null_basis` shares."""
     m, k = (w, n_excited) if w.shape[0] <= w.shape[1] else (w.T, n_qubits - n_excited + 1)
     lams = [(n_excited - i) * (n_qubits - n_excited + 1 - i) % prime for i in range(k)]
     v = np.zeros(m.shape[0], dtype=np.int64)

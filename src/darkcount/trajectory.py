@@ -11,14 +11,14 @@ on the block of states |q, k> with popcount(q) + k = s: 163 states at
 (N, s) = (8, 4) against 1280 for the full truncated space, assembled from
 the sector lowering blocks.  The coupling phases and the i of the
 Schroedinger equation are a diagonal unitary gauge there, which keeps every
-norm, so the generator is a real matrix built from |L|.  The propagator
-over one grid step is taken exactly with a real ``expm``, and its powers
-walk the real and imaginary parts of the gauged state through the grid in
-64 blocks of 64 states, one dense product per block; omega is a constant
-on the block and only adds a phase.  The squared norm decays
-monotonically, so the no-click probability converges to the
-dark-projector expectation of the initial state once kappa dominates all
-couplings and the waiting time covers the weakest coupling.
+norm, so the generator is a real dense matrix written from |L|.  The
+propagator over one grid step is taken exactly with a real ``expm``, and
+its powers walk the gauged state, one real column for an arrangement and
+two for a superposition, through the grid in 64 blocks of 64 states, one
+dense product per block; omega only adds a phase.  The squared norm decays
+monotonically to the dark-projector expectation of the initial state, as
+fast as the slowest bright mode, at 4 sigma_min^2 / kappa once kappa
+dominates the couplings.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .darkspace import _gauge
 from .operators import HamiltonianModel, PureState, build_lowering_block
@@ -44,9 +43,8 @@ class TrajectoryConfig:
 
     ``initial`` is an occupation pattern with the cavity empty, or a
     zero-photon sector PureState for superposition inputs.  ``waiting_factor``
-    sets the required horizon through t_max * g_min >= waiting_factor; the
-    default of 50 suppresses the slowest bright component well below the
-    statistical noise floor in the lossy regime.
+    sets the least horizon, t_max * g_min >= waiting_factor; the bright
+    weight it leaves is the norm curve's last point less the dark weight.
     """
 
     model: HamiltonianModel
@@ -138,11 +136,11 @@ def _no_jump_norm_curve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarra
     real generator M: -sqrt(k+1) |L_{s-k}| from k to k+1 photons, its
     negated transpose back, and -kappa k / 2 on sub-block k.  A unitary keeps
     every norm, so the curve is that of exp(t M) psi_0' with psi_0' = u psi_0
-    on the photon-0 sub-block.  Takes the one-step propagator exp(dt M)
-    exactly in real arithmetic and walks Re psi_0' and Im psi_0' together,
-    the complex columns viewed as pairs of real ones, in STRIDE-wide blocks:
-    doubling builds psi_0 .. psi_{STRIDE-1} and step^STRIDE, then each
-    block is one dense product of step^STRIDE with the block before it.
+    on the photon-0 sub-block.  dt M is one dense array and exp(dt M) is
+    exact in real arithmetic.  A global phase makes psi_0' real at its
+    largest amplitude; its nonzero real and imaginary parts, ``width``
+    columns a state, walk in STRIDE-state blocks: doubling builds psi_0 ..
+    psi_{STRIDE-1} and step^STRIDE, then each block is one dense product.
     """
     n, initial = config.model.n_qubits, config.initial
     if isinstance(initial, PureState):
@@ -153,33 +151,36 @@ def _no_jump_norm_curve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarra
     else:
         s, patterns, amps = int(initial).bit_count(), [int(initial)], 1.0
     lower = [build_lowering_block(n, s - k, config.model.profile) for k in range(s)]
-    sizes = [op.shape[1] for op in lower] + [1]  # k = s photons: the all-ground state
-    blocks = [[None] * (s + 1) for _ in range(s + 1)]
-    for k in range(s + 1):
-        blocks[k][k] = sp.identity(sizes[k]) * (-0.5 * config.kappa * k)
-    for k, op in enumerate(lower):
-        blocks[k + 1][k] = -np.sqrt(k + 1) * abs(op.matrix)
-        blocks[k][k + 1] = -blocks[k + 1][k].T
+    edges = np.cumsum([0] + [op.shape[1] for op in lower] + [1])  # s photons: all ground
+    gen = np.zeros((edges[-1], edges[-1]))
+    np.fill_diagonal(gen, np.repeat(-0.5 * config.kappa * np.arange(s + 1), np.diff(edges)))
+    for k, op in enumerate(lower):  # entry by entry into its slice: no dense copy of L
+        entries = op.matrix.tocoo()
+        at_k, at_k1 = edges[k] + entries.col, edges[k + 1] + entries.row
+        gen[at_k1, at_k] = -np.sqrt(k + 1) * abs(entries.data)
+        gen[at_k, at_k1] = -gen[at_k1, at_k]
+    gen *= config.dt  # in place: no second dim x dim array lives through expm
 
     sector = lower[0].source if lower else enumerate_sector(n, 0)
     g = config.model.profile.as_array()
     rows = [state_index(sector, m) for m in patterns]  # checks register and popcount
-    psi = np.zeros(sum(sizes), dtype=np.complex128)
+    psi = np.zeros(edges[-1], dtype=np.complex128)
     psi[rows] = amps * _gauge(sector, g / np.abs(g))[rows]
-
-    def step(power, cols):  # a real matrix on complex columns, as pairs of real ones
-        return (power @ cols.view(np.float64)).view(np.complex128)
-
-    power = scipy.linalg.expm(config.dt * sp.bmat(blocks).toarray())  # one real step
-    cols = psi[:, None]
-    while cols.shape[1] < STRIDE:  # doubling: psi_0 .. psi_{2w-1}, then power = step^{2w}
-        cols = np.hstack([cols, step(power, cols)])
+    top = np.argmax(np.abs(psi))
+    psi *= psi[top].conjugate() / abs(psi[top])  # a global phase keeps every norm
+    psi.imag[top] = 0.0  # real at its largest amplitude, where a fused multiply-add leaves eps
+    cols = psi[:, None].view(np.float64)[:, [True, psi.imag.any()]]  # Re, and Im unless zero
+    width = cols.shape[1]
+    power = scipy.linalg.expm(gen)  # one real step
+    while cols.shape[1] < STRIDE * width:  # doubling: psi_0 .. psi_{2j-1}, then power = step^{2j}
+        cols = np.hstack([cols, power @ cols])
         power = power @ power
     norms = np.empty(NORM_GRID_POINTS + 1)
     for start in range(0, NORM_GRID_POINTS + 1, STRIDE):
-        if start:  # the last grid point needs only the first column of its block
-            cols = step(power, cols if start < NORM_GRID_POINTS else cols[:, :1])
-        norms[start:start + cols.shape[1]] = (cols.real**2 + cols.imag**2).sum(axis=0)
+        if start:  # the last grid point needs only the first state of its block
+            cols = power @ (cols if start < NORM_GRID_POINTS else cols[:, :width])
+        squares = np.einsum("ij,ij->j", cols, cols).reshape(-1, width)
+        norms[start:start + squares.shape[0]] = squares.sum(axis=1)
     return config.dt * np.arange(NORM_GRID_POINTS + 1), norms
 
 

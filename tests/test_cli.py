@@ -348,8 +348,38 @@ def test_trajectory_json(capsys):
                        "--trajectories", "4000", "--waiting-factor", "130")
     data = payload["data"]
     assert abs(data["p_no_click"] - 0.5) < 0.05
+    # uniform couplings: sigma = sqrt(2) g drains to 0.5 exp(-10.4) at this horizon
+    assert 0.0 <= data["horizon_residual"] < 1e-3
     assert data["waiting_time_sufficient"] is True
     assert data["deviation_from_projector"] <= data["tolerance"]
+
+
+@pytest.mark.parametrize("argv,residual", [
+    ("--n 10 --s 5 --seed 0 --waiting-factor 650.7", 0.0476),
+    ("--n 8 --s 4 --seed 4 --waiting-factor 668.7", 0.0563),
+])
+def test_trajectory_reads_its_horizon_off_its_own_norm(capsys, argv, residual):
+    # sigma_min is 0.08 g_min here, so a g_min horizon test took the bright residual for a fault
+    data = run_json(capsys, "trajectory", *argv.split(), "--disorder", "log1",
+                    "--kappa-ratio", "50", "--trajectories", "4000")["data"]
+    assert data["horizon_residual"] == pytest.approx(residual, abs=5e-4)
+    assert data["waiting_time_sufficient"] is False and "tolerance" not in data
+
+
+def test_trajectory_norm_below_the_projector_exits_2(capsys, monkeypatch):
+    from darkcount import trajectory
+
+    curve = trajectory._no_jump_norm_curve
+
+    def leaky(config):  # loses 0.1 % of every norm, the dark weight with it
+        times, norms = curve(config)
+        return times, 0.999 * norms
+
+    monkeypatch.setattr(trajectory, "_no_jump_norm_curve", leaky)
+    code, out = run_cli(capsys, "trajectory", "--n", "2", "--s", "1", "--uniform", "1.0",
+                        "--trajectories", "100", "--waiting-factor", "130")
+    assert code == 2
+    assert json.loads(out)["data"]["horizon_residual"] == pytest.approx(-5e-4, abs=2e-5)
 
 
 def test_trajectory_disorder_default_is_narrow_and_log3_is_honoured(capsys):

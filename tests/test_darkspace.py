@@ -464,6 +464,20 @@ def test_integer_witness_catches_a_mutated_w_or_rumer_sign(monkeypatch, name, mu
         null_basis(op)
 
 
+def test_null_basis_builds_w_once(monkeypatch):
+    # the integer witness and the rank certificate share one inclusion matrix
+    calls = []
+
+    def counted(n, s):
+        calls.append((n, s))
+        return inclusion_pattern(n, s)
+
+    op = build_lowering_block(8, 4, sample_profile(8, DEFAULT_DISORDER, seed=0))
+    monkeypatch.setattr(darkspace, "inclusion_pattern", counted)
+    assert null_basis(op).nullity == 14
+    assert calls == [(8, 4)]
+
+
 def test_gram_breakdown_names_the_sector_and_the_pivot(monkeypatch):
     def dpotrf(a, **kwargs):
         return a, 3  # LAPACK's report of a non-positive leading minor of order 3
