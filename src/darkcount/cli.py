@@ -40,10 +40,9 @@ from .couplings import (
     uniform_profile,
 )
 from .darkspace import (
-    BASIS_BYTES_CAP,
     DEFAULT_TOLERANCE,
     MERSENNE_31,
-    dark_basis_bytes,
+    check_basis_fits,
     dark_subspace,
     diagonal_fits,
     rank_exact_modp,
@@ -281,10 +280,7 @@ def cmd_rank(args) -> dict:
 
 def cmd_darkbasis(args) -> dict:
     n, s = args.n, args.s
-    nbytes = 2 * dark_basis_bytes(n, s)  # the basis is held and printed complex
-    if nbytes > BASIS_BYTES_CAP:
-        raise ValueError(f"the ({n}, {s}) complex dark basis takes {nbytes >> 20} MiB, "
-                         f"over BASIS_BYTES_CAP of {BASIS_BYTES_CAP >> 20} MiB")
+    check_basis_fits(n, s)
     profile = _profile_from_args(args, n)
     sub = dark_subspace(n, s, profile)
     # P = diag(phases) Q^T Q diag(phases)^* is Hermitian; it is idempotent iff Q Q^T = I
@@ -390,6 +386,8 @@ def cmd_sweep(args) -> dict | str:
 
 def cmd_trajectory(args) -> dict | str:
     n, s = args.n, args.s
+    if args.kappa_ratios and (args.histogram or args.format == "csv"):
+        raise ValueError("--kappa-ratios takes neither --histogram nor --format csv")
     profile = _profile_from_args(args, n)
     initial = int(args.initial, 2) if args.initial else (1 << s) - 1
     if initial.bit_count() != s:
@@ -398,11 +396,8 @@ def cmd_trajectory(args) -> dict | str:
             f"excitations, expected s={s}"
         )
     model = HamiltonianModel(n_qubits=n, profile=profile, n_photon_max=s)
-    base = standard_config(
-        model, kappa_ratio=args.kappa_ratio, initial=initial,
-        n_trajectories=args.trajectories, seed=args.seed,
-        waiting_factor=args.waiting_factor,
-    )
+    base = standard_config(model, args.kappa_ratio, initial, args.trajectories, args.seed,
+                           args.waiting_factor)
 
     ratios = [float(tok) for tok in args.kappa_ratios.split(",")] if args.kappa_ratios else None
     data: dict = {
@@ -447,7 +442,7 @@ def cmd_trajectory(args) -> dict | str:
     if args.format == "csv":
         return "".join(["t_low,t_high,click_fraction\n"] + [
             f"{row['t_low']:.12g},{row['t_high']:.12g},{row['click_fraction']:.12g}\n"
-            for row in data.get("first_click_histogram", [])])
+            for row in data["first_click_histogram"]])
     return data
 
 
@@ -536,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list: sweep kappa/g over these ratios instead")
     p.add_argument("--trajectories", type=int, default=10_000)
     p.add_argument("--waiting-factor", type=float, default=50.0,
-                   help="required t_max * g_min")
+                   help="horizon t_max = factor / g_min")
     p.add_argument("--histogram", action="store_true",
                    help="include a first-click-time histogram")
     p.add_argument("--format", choices=["json", "csv"], default="json",

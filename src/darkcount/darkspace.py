@@ -39,7 +39,8 @@ import scipy.sparse as sp
 
 from .counting import ndark_formula
 from .couplings import CouplingProfile
-from .operators import PureState, SectorOperator, build_lowering_block, inclusion_pattern
+from .operators import (PureState, SectorOperator, build_lowering_block, gauge_products,
+                        inclusion_pattern)
 from .sector import SectorBasis, enumerate_sector
 
 __all__ = [
@@ -50,6 +51,7 @@ __all__ = [
     "BASIS_BYTES_CAP",
     "dark_basis_bytes",
     "diagonal_fits",
+    "check_basis_fits",
     "rank_numeric",
     "null_basis",
     "dark_subspace",
@@ -100,6 +102,19 @@ def diagonal_fits(n_qubits: int, n_excited: int) -> bool:
     nullity = ndark_formula(n_qubits, n_excited)
     block = min(COLUMN_BLOCK_BYTES, dark_basis_bytes(n_qubits, n_excited))
     return 8 * nullity * nullity + block <= BASIS_BYTES_CAP
+
+
+def _check_factor_fits(n: int, s: int) -> None:
+    if not diagonal_fits(n, s):
+        raise ValueError(f"the ({n}, {s}) Gram factor is over the protocol cap "
+                         f"of {BASIS_BYTES_CAP >> 20} MiB")
+
+
+def check_basis_fits(n_qubits: int, n_excited: int) -> None:
+    """Raise ValueError unless the dark basis, held and printed complex, fits the cap."""
+    if (nbytes := 2 * dark_basis_bytes(n_qubits, n_excited)) > BASIS_BYTES_CAP:
+        raise ValueError(f"the ({n_qubits}, {n_excited}) complex dark basis takes {nbytes >> 20} "
+                         f"MiB, over BASIS_BYTES_CAP of {BASIS_BYTES_CAP >> 20} MiB")
 
 
 def _blocks(count: int, row_bytes: int) -> list[slice]:
@@ -196,12 +211,6 @@ def _read_couplings(op: SectorOperator) -> tuple[np.ndarray, sp.coo_matrix]:
     return g, coo
 
 
-def _gauge(sector: SectorBasis, g: np.ndarray) -> np.ndarray:
-    """The gauge products D(x) = prod_{k in x} g_k over a sector."""
-    excited = (sector.states[:, None] >> np.arange(g.size, dtype=np.uint64)) & 1 == 1
-    return np.prod(np.where(excited, g, 1.0), axis=1)
-
-
 def rank_numeric(
     op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERANCE, report: dict | None = None
 ) -> int:
@@ -229,7 +238,7 @@ def rank_numeric(
     routine called.
     """
     g, coo = _read_couplings(op)
-    d_t, d_s = _gauge(op.target, g), _gauge(op.source, g)
+    d_t, d_s = gauge_products(op.target, g), gauge_products(op.source, g)
     with np.errstate(all="ignore"):  # a product out of range shows in the residual
         scaled = d_t[coo.row] * coo.data / d_s[coo.col]
         normal = min(np.abs(d_t).min(), np.abs(d_s).min()) >= np.finfo(np.float64).tiny
@@ -318,9 +327,7 @@ def null_basis(op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERAN
     whose factor fails :func:`diagonal_fits` raises ValueError first.
     """
     n, s = op.source.n_qubits, op.source.n_excited
-    if not diagonal_fits(n, s):
-        raise ValueError(f"the ({n}, {s}) Gram factor is over the protocol cap "
-                         f"of {BASIS_BYTES_CAP >> 20} MiB")
+    _check_factor_fits(n, s)
     g, _ = _read_couplings(op)
     patterns, signs = _rumer_kernel(n, s)
     path = np.argsort(-np.abs(g), kind="stable").astype(np.uint64)  # qubit at each step
@@ -334,7 +341,7 @@ def null_basis(op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERAN
     nullity = op.shape[1] - _certify(w, n, s, MERSENNE_31, how)
     if len(cols) != nullity:
         raise ValueError(f"{len(cols)} Rumer vectors for the exact nullity {nullity}")
-    d_s = _gauge(op.source, g)
+    d_s = gauge_products(op.source, g)
     with np.errstate(all="ignore"):  # a product out of range fails the checks below
         vals = signs / np.abs(d_s)[cols]
         vals /= np.sqrt(np.einsum("ij,ij->i", vals, vals))[:, None]
@@ -364,12 +371,13 @@ def dark_subspace(n_qubits: int, n_excited: int, profile: CouplingProfile) -> Da
     """Dark subspace of the (N, s) sector for a given coupling profile.
 
     s = 0 has no lowering block; the all-ground state is trivially dark and
-    the subspace is defined as that single state.
+    the subspace is defined as that single state.  A sector over the cap raises first.
     """
     if n_excited == 0:
         one = np.ones((1, 1))
         return DarkSubspace(enumerate_sector(n_qubits, 0), sp.csc_matrix(one), one,
                             np.ones(1, dtype=np.complex128), "convention", None)
+    _check_factor_fits(n_qubits, n_excited)
     return null_basis(build_lowering_block(n_qubits, n_excited, profile))
 
 

@@ -2,7 +2,8 @@
 
 The central object is the lowering block: the matrix of sum_j g_j S_j^- taken
 from the s-sector to the (s-1)-sector.  Dark states are exactly its null
-vectors with the cavity empty.
+vectors with the cavity empty.  For nonzero couplings L_g = D_{s-1}^{-1} W D_s,
+with both factors here: :func:`inclusion_pattern` and :func:`gauge_products`.
 """
 
 from __future__ import annotations
@@ -111,6 +112,12 @@ def inclusion_pattern(
         qubit[:, k] = np.frexp(bit.astype(np.float64))[1] - 1  # exact log2 of a power of two
     indptr = np.arange(0, rows.size + 1, n_excited, dtype=np.int32)
     return source, target, indptr, rows.ravel(), qubit.ravel()
+
+
+def gauge_products(sector: SectorBasis, g: np.ndarray) -> np.ndarray:
+    """The gauge products D(x) = prod_{k in x} g_k over a sector."""
+    excited = (sector.states[:, None] >> np.arange(g.size, dtype=np.uint64)) & 1 == 1
+    return np.prod(np.where(excited, g, 1.0), axis=1)
 
 
 def build_lowering_block(

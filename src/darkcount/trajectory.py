@@ -8,10 +8,10 @@ no-jump state first drops below its uniform variate u_i.
 
 The no-jump generator conserves excitation number, so the whole run lives
 on the block of states |q, k> with popcount(q) + k = s: 163 states at
-(N, s) = (8, 4) against 1280 for the full truncated space, assembled from
-the sector lowering blocks.  The coupling phases and the i of the
-Schroedinger equation are a diagonal unitary gauge there, which keeps every
-norm, so the generator is a real dense matrix written from |L|.  The
+(N, s) = (8, 4) against 1280 for the full truncated space.  The coupling
+phases and the i of the Schroedinger equation are a diagonal unitary gauge
+there, which keeps every norm, so the generator is a real dense matrix
+written from the inclusion patterns W and the magnitudes |g| alone.  The
 propagator over one grid step is taken exactly with a real ``expm``, and
 its powers walk the gauged state, one real column for an arrangement and
 two for a superposition, through the grid in 64 blocks of 64 states, one
@@ -29,8 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .darkspace import _gauge
-from .operators import HamiltonianModel, PureState, build_lowering_block
+from .operators import HamiltonianModel, PureState, gauge_products, inclusion_pattern
 from .sector import enumerate_sector, state_index
 
 NORM_GRID_POINTS = 4096  # the square of a power of two, as the blocked walk needs
@@ -42,9 +41,9 @@ class TrajectoryConfig:
     """One heralding run: model, decay, horizon, statistics, seed.
 
     ``initial`` is an occupation pattern with the cavity empty, or a
-    zero-photon sector PureState for superposition inputs.  ``waiting_factor``
-    sets the least horizon, t_max * g_min >= waiting_factor; the bright
-    weight it leaves is the norm curve's last point less the dark weight.
+    zero-photon sector PureState for superposition inputs.  Any positive
+    horizon runs (:func:`standard_config` holds the default policy); the
+    bright weight it leaves is the norm curve's last point less the dark one.
     """
 
     model: HamiltonianModel
@@ -53,7 +52,6 @@ class TrajectoryConfig:
     n_trajectories: int
     seed: int
     initial: int | PureState
-    waiting_factor: float = 50.0
 
     def __post_init__(self):
         if not 0.0 < self.kappa < math.inf:  # written so that NaN fails it too
@@ -62,12 +60,6 @@ class TrajectoryConfig:
             raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1")
-        g_min = self.model.profile.min_magnitude
-        if not self.t_max * g_min >= self.waiting_factor * (1.0 - 1e-12):
-            raise ValueError(
-                f"t_max={self.t_max:g} below the waiting-time threshold "
-                f"{self.waiting_factor / g_min:g} set by the weakest coupling"
-            )
 
     @property
     def dt(self) -> float:
@@ -91,7 +83,6 @@ def standard_config(
         n_trajectories=n_trajectories,
         seed=seed,
         initial=initial,
-        waiting_factor=waiting_factor,
     )
 
 
@@ -133,44 +124,42 @@ def _no_jump_norm_curve(config: TrajectoryConfig) -> tuple[np.ndarray, np.ndarra
     Entry (t, x) of L_{s-k} is g_{x \\ t} = |g_{x \\ t}| u(x) / u(t), with
     u(x) = prod_{j in x} g_j / |g_j|, so the diagonal unitary u(x) (-i)^k
     on pattern x with k photons turns -i (H - (i kappa / 2) a^dag a) into the
-    real generator M: -sqrt(k+1) |L_{s-k}| from k to k+1 photons, its
-    negated transpose back, and -kappa k / 2 on sub-block k.  A unitary keeps
-    every norm, so the curve is that of exp(t M) psi_0' with psi_0' = u psi_0
-    on the photon-0 sub-block.  dt M is one dense array and exp(dt M) is
-    exact in real arithmetic.  A global phase makes psi_0' real at its
-    largest amplitude; its nonzero real and imaginary parts, ``width``
-    columns a state, walk in STRIDE-state blocks: doubling builds psi_0 ..
-    psi_{STRIDE-1} and step^STRIDE, then each block is one dense product.
+    real generator M, written from W_{s-k} and |g| alone: -sqrt(k+1) |g_{x \\ t}|
+    at W's entry (t, x) from k to k+1 photons, its negated transpose back,
+    and -kappa k / 2 on sub-block k.  A unitary keeps every norm, so the
+    curve is that of exp(t M) psi_0' with psi_0' = u psi_0 on the photon-0
+    sub-block.  dt M is one dense array and exp(dt M) is exact in real
+    arithmetic.  A global phase makes psi_0' real at its largest amplitude;
+    its nonzero real and imaginary parts, ``width`` columns a state, walk in
+    STRIDE-state blocks: doubling builds psi_0 .. psi_{STRIDE-1} and
+    step^STRIDE, then each block is one dense product.
     """
     n, initial = config.model.n_qubits, config.initial
-    if isinstance(initial, PureState):
-        if initial.basis.n_qubits != n:
-            raise ValueError("initial state register size differs from the model")
-        s = initial.basis.n_excited
-        patterns, amps = initial.basis.states, initial.normalized().amplitudes
-    else:
-        s, patterns, amps = int(initial).bit_count(), [int(initial)], 1.0
-    lower = [build_lowering_block(n, s - k, config.model.profile) for k in range(s)]
-    edges = np.cumsum([0] + [op.shape[1] for op in lower] + [1])  # s photons: all ground
-    gen = np.zeros((edges[-1], edges[-1]))
-    np.fill_diagonal(gen, np.repeat(-0.5 * config.kappa * np.arange(s + 1), np.diff(edges)))
-    for k, op in enumerate(lower):  # entry by entry into its slice: no dense copy of L
-        entries = op.matrix.tocoo()
-        at_k, at_k1 = edges[k] + entries.col, edges[k + 1] + entries.row
-        gen[at_k1, at_k] = -np.sqrt(k + 1) * abs(entries.data)
-        gen[at_k, at_k1] = -gen[at_k1, at_k]
-    gen *= config.dt  # in place: no second dim x dim array lives through expm
-
-    sector = lower[0].source if lower else enumerate_sector(n, 0)
+    state = isinstance(initial, PureState)
+    if state and initial.basis.n_qubits != n:
+        raise ValueError("initial state register size differs from the model")
+    s = initial.basis.n_excited if state else int(initial).bit_count()
+    patterns = [inclusion_pattern(n, s - k) for k in range(s)]
+    sector = patterns[0][0] if patterns else enumerate_sector(n, 0)
+    edges = np.cumsum([0] + [source.size for source, *_ in patterns] + [1])  # s photons: ground
     g = config.model.profile.as_array()
-    rows = [state_index(sector, m) for m in patterns]  # checks register and popcount
+    magnitude = np.abs(g)
+    phases = gauge_products(sector, g / magnitude)
     psi = np.zeros(edges[-1], dtype=np.complex128)
-    psi[rows] = amps * _gauge(sector, g / np.abs(g))[rows]
+    rows = slice(sector.size) if state else state_index(sector, initial)  # checks the pattern
+    psi[rows] = (initial.normalized().amplitudes if state else 1.0) * phases[rows]
     top = np.argmax(np.abs(psi))
     psi *= psi[top].conjugate() / abs(psi[top])  # a global phase keeps every norm
     psi.imag[top] = 0.0  # real at its largest amplitude, where a fused multiply-add leaves eps
     cols = psi[:, None].view(np.float64)[:, [True, psi.imag.any()]]  # Re, and Im unless zero
     width = cols.shape[1]
+    gen = np.zeros((edges[-1], edges[-1]))
+    np.fill_diagonal(gen, np.repeat(-0.5 * config.kappa * np.arange(s + 1), np.diff(edges)))
+    for k, (source, _, _, targets, qubit) in enumerate(patterns):  # entry by entry into its slice
+        at_k, at_k1 = edges[k] + np.repeat(np.arange(source.size), s - k), edges[k + 1] + targets
+        gen[at_k1, at_k] = -np.sqrt(k + 1) * magnitude[qubit]
+        gen[at_k, at_k1] = -gen[at_k1, at_k]
+    gen *= config.dt  # in place: no second dim x dim array lives through expm
     power = scipy.linalg.expm(gen)  # one real step
     while cols.shape[1] < STRIDE * width:  # doubling: psi_0 .. psi_{2j-1}, then power = step^{2j}
         cols = np.hstack([cols, power @ cols])
@@ -245,6 +234,6 @@ def no_click_vs_kappa(
     (rates scale as sigma^2 / kappa), so at a fixed horizon the no-click
     probability approaches the dark weight from above as kappa comes DOWN
     toward the coupling scale; pushing kappa up instead requires growing
-    t_max (or ``waiting_factor``) proportionally.
+    t_max proportionally.
     """
     return [(kappa, run_trajectories(replace(base, kappa=kappa))) for kappa in kappa_list]

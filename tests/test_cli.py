@@ -418,6 +418,15 @@ def test_trajectory_kappa_sweep(capsys):
     assert errs[0] > errs[2]
 
 
+@pytest.mark.parametrize("flag", [["--format", "csv"], ["--histogram"]])
+def test_trajectory_kappa_sweep_refuses_a_histogram(capsys, monkeypatch, flag):
+    monkeypatch.setattr(cli, "no_click_vs_kappa", lambda *a: pytest.fail("the sweep ran"))
+    code = main(["trajectory", "--n", "4", "--s", "2", "--kappa-ratios", "30,100", *flag])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: --kappa-ratios") and captured.err.count("\n") == 1
+
+
 def canonical_rerun(capsys, command):
     payload = run_json(capsys, command, "--n", "4", "--s", "2", "--seed", "7")
     del payload["meta"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from darkcount import darkspace
 from darkcount.counting import ndark_formula
 from darkcount.couplings import DEFAULT_DISORDER, sample_profile, uniform_profile
 from darkcount.darkspace import DarkSubspace, dark_subspace, projector
@@ -90,6 +91,15 @@ def test_measure_d_zero_excitation():
     result = measure_d(3, 0, uniform_profile(3, 1.0))
     assert result.d_of_s == pytest.approx(1.0)
     assert result.n_dark_expected == 1
+
+
+def test_measure_d_refuses_an_oversized_sector_before_building_its_block(monkeypatch):
+    def built(n, s, profile):
+        pytest.fail(f"the ({n}, {s}) lowering block was built for a sector over the cap")
+
+    monkeypatch.setattr(darkspace, "build_lowering_block", built)
+    with pytest.raises(ValueError, match="over the protocol cap"):
+        measure_d(20, 10, uniform_profile(20, 1.0))
 
 
 @pytest.mark.parametrize("n", range(1, 9))

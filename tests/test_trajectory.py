@@ -284,12 +284,11 @@ def test_deterministic_per_seed():
 
 
 @pytest.mark.parametrize("field,value", [("kappa", float("nan")), ("kappa", float("inf")),
-                                         ("t_max", float("nan")), ("t_max", float("inf")),
-                                         ("waiting_factor", float("nan"))])
+                                         ("t_max", float("nan")), ("t_max", float("inf"))])
 def test_config_refuses_non_finite_numbers(field, value):
     model = HamiltonianModel(2, uniform_profile(2, 1.0), omega=1.0, n_photon_max=1)
     config = dict(model=model, kappa=100.0, t_max=50.0, n_trajectories=10, seed=0, initial=0b01)
-    with pytest.raises(ValueError, match="kappa|t_max|waiting-time"):
+    with pytest.raises(ValueError, match="kappa|t_max"):
         TrajectoryConfig(**{**config, field: value})
 
 
@@ -302,12 +301,23 @@ def test_photon_truncation_does_not_bound_the_block_engine():
     assert np.array_equal(curves[0].norm_grid, curves[1].norm_grid)
 
 
+def test_short_horizon_runs_and_keeps_the_dark_weight():
+    # t_max * g_min = 2, far below the default factor 50: the run leaves bright weight behind,
+    # which the last norm carries, and never falls below the conserved dark weight
+    profile = sample_profile(6, MILD, seed=2)
+    model = HamiltonianModel(6, profile, n_photon_max=3)
+    config = TrajectoryConfig(model=model, kappa=100.0 * profile.max_magnitude,
+                              t_max=2.0 / profile.min_magnitude, n_trajectories=100, seed=0,
+                              initial=0b000111)
+    stats = run_trajectories(config)
+    expectation = null_emission_probability(0b000111, dark_subspace(6, 3, profile))
+    assert stats.norm_grid[-1] >= expectation
+    assert stats.norm_grid[-1] - expectation > 0.1  # a short horizon: the bright part is left
+
+
 def test_config_validation():
     prof = uniform_profile(2, 1.0)
     model = HamiltonianModel(2, prof, omega=1.0, n_photon_max=1)
-    with pytest.raises(ValueError, match="waiting-time"):
-        TrajectoryConfig(model=model, kappa=100.0, t_max=1.0,
-                         n_trajectories=10, seed=0, initial=0b01)
     with pytest.raises(ValueError, match="kappa"):
         TrajectoryConfig(model=model, kappa=-1.0, t_max=50.0,
                          n_trajectories=10, seed=0, initial=0b01)
