@@ -56,8 +56,8 @@ SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "DARKCOUNT_OUTPUT_DIR"
 
 # C(22, 11), where the certificate takes 0.8 s and 173 MB peak RSS and the
-# numeric rank with its block 2.4 s and 820 MB (2-vCPU VM): count stays
-# within seconds and 1 GB
+# numeric rank with its block 1.6 s and 564 MB (2-vCPU VM): count stays
+# within seconds and 600 MB
 EXACT_SECTOR_CAP = 705_432
 HISTOGRAM_BINS = 40  # rows of trajectory's first-click histogram
 HORIZON_RESIDUAL_LIMIT = 0.01  # bright population left at t_max that counts as drained

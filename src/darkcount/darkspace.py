@@ -7,9 +7,9 @@ never depends on the couplings, while the dark basis, D_s^{-1} ker W made
 orthonormal, does.  Two independent routes give the same integers:
 
 * a floating-point route with an explicit, auditable tolerance policy.  The
-  numeric rank reads the couplings back off the block, so a block not in
-  gauge form raises, and checks that the equilibrated block
-  B = D_{s-1} L_g D_s^{-1} is W to within a residual.  Weyl's inequality
+  numeric rank checks the block's pattern against W's and reads the
+  couplings through it, so a block not in gauge form raises, and checks
+  that B = D_{s-1} L_g D_s^{-1} is W within a residual.  Weyl's inequality
   then turns Wilson's singular values of W, sqrt((s-i)(N-s+1-i)) >= 1
   however wide the disorder, into bounds on B's: no Gram matrix, no
   factorization.  The dark basis is Rumer's pairing basis of ker W scaled
@@ -178,37 +178,35 @@ class DarkSubspace:
         return np.concatenate([np.einsum("ij,ij->i", q, q) for q in map(self._q_rows, blocks)])
 
 
-def _read_couplings(op: SectorOperator) -> tuple[np.ndarray, sp.coo_matrix]:
-    """The couplings of a lowering block in gauge form, and its entries.
+def _read_couplings(op: SectorOperator) -> tuple[np.ndarray, sp.csc_matrix, sp.csc_matrix]:
+    """The couplings g of a lowering block, the block in canonical CSC form, and W.
 
-    Entry (t, x) is g_i for the qubit i = x \\ t.  Raises ValueError unless
-    every inclusion pair holds one entry and each qubit carries exactly one
-    nonzero coupling.
+    Raises ValueError unless the block maps into the (N, s-1) sector on W's
+    ``indptr`` and ``indices`` and each qubit carries exactly one nonzero
+    coupling; entry k is then g at W's ``qubit[k]``.  Only a block that is
+    not canonical CSC is copied.
     """
-    coo = op.matrix.tocoo()
-    coo.sum_duplicates()
-    rows, cols, vals = coo.row, coo.col, coo.data
-    src, tgt = op.source.states, op.target.states
+    block = op.matrix
+    if block.format != "csc" or not block.has_canonical_format:
+        block = block.tocsc(copy=True)  # the caller's arrays stay as they are
+        block.sum_duplicates()
     n, s = op.source.n_qubits, op.source.n_excited
-    bit = src[cols] ^ tgt[rows]
-    if (
-        coo.nnz != s * src.size
-        or np.any((bit == 0) | (bit & (bit - 1) != 0) | ((tgt[rows] | bit) != src[cols]))
-    ):
-        raise ValueError(
-            f"lowering block {op.shape} is not in gauge form: its {coo.nnz} entries "
-            f"are not the {s * src.size} inclusion pairs of the ({n}, {s}) sector"
-        )
-    qubit = np.frexp(bit)[1] - 1  # exact log2 of a power of two
-    g = np.zeros(n, dtype=vals.dtype)
-    g[qubit] = vals
-    if np.any(g[qubit] != vals) or not np.all(g):
-        bad = set(qubit[g[qubit] != vals].tolist()) | set(np.flatnonzero(g == 0).tolist())
+    w, qubit = _inclusion_matrix(n, s)
+    if ((op.target.n_qubits, op.target.n_excited, block.shape) != (n, s - 1, w.shape)
+            or not np.array_equal(block.indptr, w.indptr)
+            or not np.array_equal(block.indices, w.indices)):
+        raise ValueError(f"lowering block {op.shape} is not in gauge form: its {block.nnz} entries "
+                         f"into the ({op.target.n_qubits}, {op.target.n_excited}) sector are not "
+                         f"the {w.nnz} inclusion pairs of the ({n}, {s}) sector")
+    g = np.zeros(n, dtype=block.dtype)
+    g[qubit] = block.data
+    if (wrong := g[qubit] != block.data).any() or not g.all():
+        bad = set(qubit[wrong].tolist()) | set(np.flatnonzero(g == 0).tolist())
         raise ValueError(
             f"lowering block {op.shape} is not in gauge form: qubits "
             f"{sorted(i + 1 for i in bad)} do not carry exactly one nonzero coupling"
         )
-    return g, coo
+    return g, block, w
 
 
 def rank_numeric(
@@ -216,9 +214,9 @@ def rank_numeric(
 ) -> int:
     """The rank min(m, n) of a lowering block in gauge form, or raise.
 
-    Once :func:`_read_couplings` finds entry (t, x) equal to g_{x \\ t} on
-    exactly W's pattern, L_g = D_{s-1}^{-1} W D_s with nonzero D, so the
-    rank is W's, min(m, n) (Wilson 1990).  What the call checks in floating
+    Once :func:`_read_couplings` finds W's pattern with entry (t, x) equal
+    to g_{x \\ t}, L_g = D_{s-1}^{-1} W D_s with nonzero D, so the rank is
+    W's, min(m, n) (Wilson 1990).  What the call checks in floating
     point is the equilibrated block B = D_{s-1} L_g D_s^{-1}: it raises
     ValueError when the block is not in gauge form or when the residual
     max |entry - 1| exceeds ``tol_policy.relative(shape)``; a gauge product
@@ -235,12 +233,13 @@ def rank_numeric(
     bound over the cutoff of that upper one.  Within ``SECTOR_CAP`` the
     residual check keeps ||E||_2 and the cutoff below 2.2e-6, so the margin
     needs no check of its own.  No dense array is formed and no LAPACK
-    routine called.
+    routine called: B is formed on the CSC arrays, each column's s entries
+    over its own gauge product, and W is freed before the products form.
     """
-    g, coo = _read_couplings(op)
+    g, block = _read_couplings(op)[:2]
     d_t, d_s = gauge_products(op.target, g), gauge_products(op.source, g)
     with np.errstate(all="ignore"):  # a product out of range shows in the residual
-        scaled = d_t[coo.row] * coo.data / d_s[coo.col]
+        scaled = (d_t[block.indices] * block.data).reshape(d_s.size, -1) / d_s[:, None]
         normal = min(np.abs(d_t).min(), np.abs(d_s).min()) >= np.finfo(np.float64).tiny
         residual = float(np.max(np.abs(scaled - 1.0))) if normal else np.inf
     if not residual <= tol_policy.relative(op.shape):
@@ -292,11 +291,11 @@ def _rumer_kernel(n_qubits: int, n_excited: int) -> tuple[np.ndarray, np.ndarray
     return patterns, signs
 
 
-def _inclusion_matrix(n_qubits: int, n_excited: int) -> sp.csc_matrix:
-    """W in int64, from :func:`~darkcount.operators.inclusion_pattern`."""
-    _, target, indptr, rows, _ = inclusion_pattern(n_qubits, n_excited)
+def _inclusion_matrix(n_qubits: int, n_excited: int) -> tuple[sp.csc_matrix, np.ndarray]:
+    """W in int64 and each entry's qubit, from :func:`~darkcount.operators.inclusion_pattern`."""
+    _, target, indptr, rows, qubit = inclusion_pattern(n_qubits, n_excited)
     return sp.csc_matrix((np.ones(rows.size, dtype=np.int64), rows, indptr),
-                         shape=(target.size, indptr.size - 1))
+                         shape=(target.size, indptr.size - 1)), qubit
 
 
 def _witness(w: sp.csc_matrix, n_excited: int, cols: np.ndarray, signs: np.ndarray) -> int:
@@ -328,12 +327,11 @@ def null_basis(op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERAN
     """
     n, s = op.source.n_qubits, op.source.n_excited
     _check_factor_fits(n, s)
-    g, _ = _read_couplings(op)
+    g, _, w = _read_couplings(op)  # one W for the read, the witness and the certificate
     patterns, signs = _rumer_kernel(n, s)
     path = np.argsort(-np.abs(g), kind="stable").astype(np.uint64)  # qubit at each step
     cols = np.searchsorted(op.source.states,
                            sum(((patterns >> p) & 1) << path[p] for p in range(n)))
-    w = _inclusion_matrix(n, s)  # one W for the witness and the rank certificate
     if witness := _witness(w, s, cols, signs):
         raise ValueError(f"the ({n}, {s}) Rumer vectors fail the integer witness: "
                          f"W K^T has {witness} nonzero entries")
@@ -459,7 +457,7 @@ def rank_exact_modp(
         raise ValueError("n_excited must lie in [1, n_qubits] for a lowering block")
     if prime.bit_length() > 31 or prime < 3 or prime % 2 == 0:
         raise ValueError("prime must be an odd prime with at most 31 bits")
-    return _certify(_inclusion_matrix(n_qubits, n_excited), n_qubits, n_excited, prime, report)
+    return _certify(_inclusion_matrix(n_qubits, n_excited)[0], n_qubits, n_excited, prime, report)
 
 
 def _certify(w: sp.csc_matrix, n_qubits: int, n_excited: int, prime: int,

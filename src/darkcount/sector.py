@@ -21,7 +21,7 @@ import numpy as np
 # The one cap on a sector, in states.  The sector itself takes 8 bytes a
 # state of its own.  Per state of the source sector, the exact rank
 # certificate peaks near 200 bytes (530 MB above the interpreter at
-# (24, 12)) and the numeric rank with its block near 1.1 KB (770 MB
+# (24, 12)) and the numeric rank with its block near 750 bytes (505 MB
 # at (22, 11)), so the CLI gates both well below this cap.
 SECTOR_CAP = 3_000_000
 

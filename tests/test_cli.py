@@ -600,6 +600,11 @@ def test_profile_json_of_another_length_is_refused(capsys, tmp_path, command):
     ("trajectory --n 2 --s 0 --uniform nan", "uniform coupling"),
     ("protocol --n 2 --s 1 --profile-json {nan}", "coupling g_2"),
     ("trajectory --n 2 --s 0 --profile-json {nan}", "coupling g_2"),
+    # an overlong horizon: exp(dt M) overflows to NaN, or loses monotonicity at 1e16
+    ("trajectory --n 3 --s 1 --uniform 1 --waiting-factor 1e38", "t_max = 1e+38"),
+    ("trajectory --n 3 --s 1 --uniform 1 --waiting-factor 1e16", "t_max = 1e+16"),
+    ("trajectory --n 3 --s 1 --kappa-ratio 1e300", "not finite and non-increasing"),
+    ("trajectory --n 3 --s 1 --kappa-ratios 1e300,100", "not finite and non-increasing"),
 ])
 def test_non_finite_numbers_are_a_clean_error(capsys, tmp_path, argv, names):
     path = tmp_path / "nan.json"

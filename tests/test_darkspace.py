@@ -14,7 +14,7 @@ from darkcount.couplings import (
     sample_profile,
     uniform_profile,
 )
-from darkcount import darkspace
+from darkcount import darkspace, operators
 from darkcount.darkspace import (
     DEFAULT_TOLERANCE,
     MERSENNE_31,
@@ -120,6 +120,72 @@ def test_nullity_rejects_a_missing_entry():
     bad = SectorOperator(source=op.source, target=op.target, matrix=matrix.tocsc())
     with pytest.raises(ValueError, match="gauge form"):
         numeric_nullity(bad)
+
+
+def _move_one_entry(op):
+    # W's entry count, one entry moved to a row its column does not hold
+    coo = op.matrix.tocoo()
+    rows = coo.row.copy()
+    rows[0] = np.setdiff1d(np.arange(op.shape[0]), rows[coo.col == coo.col[0]])[0]
+    return op.source, op.target, sp.csc_matrix((coo.data, (rows, coo.col)), shape=op.shape)
+
+
+def _another_target(op):
+    # (4, 3) holds as many states as (4, 1), the true target of a (4, 2) block
+    return op.source, enumerate_sector(4, 3), op.matrix
+
+
+@pytest.mark.parametrize("mutate", [_move_one_entry, _another_target])
+@pytest.mark.parametrize("route", [rank_numeric, null_basis])
+def test_a_block_off_w_is_not_in_gauge_form(mutate, route):
+    op = build_lowering_block(4, 2, sample_profile(4, DEFAULT_DISORDER, seed=5))
+    bad = SectorOperator(*mutate(op))
+    assert bad.shape == op.shape and bad.matrix.nnz == op.matrix.nnz
+    with pytest.raises(ValueError, match="gauge form"):
+        route(bad)
+
+
+def _split_coo(op):
+    coo = op.matrix.tocoo()
+    half = coo.data[:1] / 2  # exact: both halves sum back to the entry
+    return sp.coo_matrix((np.concatenate([half, half, coo.data[1:]]),
+                          (np.concatenate([coo.row[:1], coo.row]),
+                           np.concatenate([coo.col[:1], coo.col]))), shape=op.shape)
+
+
+def _split_csc(op):
+    m = op.matrix
+    data = np.concatenate([m.data[:1] / 2, m.data[:1] / 2, m.data[1:]])
+    indptr = m.indptr + (np.arange(m.indptr.size) > 0)
+    return sp.csc_matrix((data, np.concatenate([m.indices[:1], m.indices]), indptr),
+                         shape=op.shape)
+
+
+@pytest.mark.parametrize("split", [_split_coo, _split_csc])
+def test_a_block_with_an_entry_split_in_halves_reads_as_its_sum(split):
+    op = build_lowering_block(6, 3, sample_profile(6, DEFAULT_DISORDER, seed=1))
+    matrix = split(op)
+    assert not matrix.has_canonical_format  # the read must sum the halves on a copy
+    before = [a.copy() for a in (matrix.data, *matrix.nonzero())]
+    expected, report = {}, {}
+    assert rank_numeric(SectorOperator(op.source, op.target, matrix), report=report) == \
+        rank_numeric(op, report=expected)
+    assert report == expected
+    after = (matrix.data, *matrix.nonzero())
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def test_the_gauge_read_holds_under_twice_the_block():
+    op = build_lowering_block(16, 8, sample_profile(16, DEFAULT_DISORDER, seed=0))
+    m = op.matrix
+    block_bytes = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+    tracemalloc.start()
+    try:
+        darkspace._read_couplings(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * block_bytes, peak / block_bytes
 
 
 def test_nullity_raises_when_gauge_products_underflow():
@@ -442,9 +508,13 @@ def test_dark_rows_are_positive_at_their_own_ballot_pattern():
 
 
 def _shift_one_w_row(n, s):
+    # a 0/1 pattern still: entry 5 moves to a row its column lacks, and the column stays sorted
     source, target, indptr, rows, qubit = inclusion_pattern(n, s)
-    rows = rows.copy()
-    rows[5] = (rows[5] + 1) % target.size
+    rows, qubit = rows.copy(), qubit.copy()
+    col = slice(5 // s * s, 5 // s * s + s)  # every column of W holds s entries
+    rows[5] = np.setdiff1d(np.arange(target.size), rows[col])[0]
+    order = col.start + np.argsort(rows[col], kind="stable")
+    rows[col], qubit[col] = rows[order], qubit[order]
     return source, target, indptr, rows, qubit
 
 
@@ -458,8 +528,10 @@ def _flip_one_rumer_sign(n, s):
 @pytest.mark.parametrize("name,mutant", [("inclusion_pattern", _shift_one_w_row),
                                          ("_rumer_kernel", _flip_one_rumer_sign)])
 def test_integer_witness_catches_a_mutated_w_or_rumer_sign(monkeypatch, name, mutant):
-    op = build_lowering_block(8, 4, sample_profile(8, DEFAULT_DISORDER, seed=0))
     monkeypatch.setattr(darkspace, name, mutant)
+    if name == "inclusion_pattern":  # the block holds the same wrong W, so the read passes it
+        monkeypatch.setattr(operators, name, mutant)
+    op = build_lowering_block(8, 4, sample_profile(8, DEFAULT_DISORDER, seed=0))
     with pytest.raises(ValueError, match=r"\(8, 4\) Rumer vectors fail the integer witness"):
         null_basis(op)
 
