@@ -2,8 +2,12 @@
 
 Every run echoes its full configuration into the output; timestamps live
 only under ``meta`` so rerunning with identical flags and seed reproduces
-the data fields byte for byte.  Exit code 0 means every requested
-computation completed and all cross-method consistency checks passed.
+the data fields byte for byte.  A subcommand returns a record or a CSV or
+SVG string, and ``main`` writes either, or the record of a failed check,
+from one call site: a record as one payload, through one encoder.  Exit
+code 0 means every requested computation completed and all cross-method
+consistency checks passed; 2, a check failed; 1, a bad argument, a cap or
+a file that could not be read or written, with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .darkspace import (
 )
 from .operators import S_SQUARED_SECTOR_CAP, HamiltonianModel, build_lowering_block
 from .protocol import measure_d, monte_carlo_protocol, null_emission_probability
-from .trajectory import no_click_vs_kappa, run_trajectories, standard_config
+from .trajectory import no_click_vs_kappa, standard_config
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "DARKCOUNT_OUTPUT_DIR"
@@ -91,27 +95,25 @@ def _now_iso() -> str:
 def _dump_json(payload: dict) -> Iterator[str]:
     """``json.dumps(payload, sort_keys=True)`` and a newline, in pieces.
 
-    An ndarray value in ``payload["data"]`` is written one row per piece, so
-    the record never exists as nested lists of Python floats or as one string.
-    The rest goes through json's C encoder: each other value of ``data`` on
-    its own, and the payload without ``data`` as one text cut at its slot.  A
-    JSON string holds no unescaped quote, and outside ``data`` the only keys
-    are the payload's own, the flag names and ``timestamp``, so no input can
-    write ``"data": null`` a second time.
+    The one encoder of every JSON record.  A dict is written key by key in
+    sorted order, an ndarray row by row through :func:`_array_rows`, and any
+    other value by json's C encoder, so no record is held as nested lists of
+    Python floats or as one string.
     """
-    data, slot = payload["data"], '"data": null'
-    text = json.dumps({**payload, "data": None}, sort_keys=True)  # no indent: C encoder
-    pieces = text.split(slot)
-    assert len(pieces) == 2, f"{slot} occurs {len(pieces) - 1} times"
-    yield pieces[0] + '"data": {'
-    for i, key in enumerate(sorted(data)):
-        value = data[key]
-        yield (", " if i else "") + json.dumps(key) + ": "
-        if isinstance(value, np.ndarray):
+    def pieces(value) -> Iterator[str]:
+        if isinstance(value, dict):
+            yield "{"
+            for i, key in enumerate(sorted(value)):
+                yield (", " if i else "") + json.dumps(key) + ": "
+                yield from pieces(value[key])
+            yield "}"
+        elif isinstance(value, np.ndarray):
             yield from _array_rows(value)
         else:
             yield json.dumps(value, sort_keys=True)
-    yield "}" + pieces[1] + "\n"
+
+    yield from pieces(payload)
+    yield "\n"
 
 
 def _array_rows(array: np.ndarray) -> Iterator[str]:
@@ -176,13 +178,10 @@ def _profile_from_args(args, n_qubits: int) -> CouplingProfile:
     if args.uniform is not None:
         return uniform_profile(n_qubits, args.uniform)
     spec = DISORDER_PRESETS[args.disorder]
-    if args.g_min is not None or args.g_max is not None or args.dist is not None or args.no_phases:
-        spec = DisorderSpec(
-            magnitude_low=spec.magnitude_low if args.g_min is None else args.g_min,
-            magnitude_high=spec.magnitude_high if args.g_max is None else args.g_max,
-            phase_random=not args.no_phases,
-            distribution=spec.distribution if args.dist is None else args.dist,
-        )
+    overrides = {"magnitude_low": args.g_min, "magnitude_high": args.g_max,
+                 "distribution": args.dist}
+    spec = dataclasses.replace(spec, phase_random=spec.phase_random and not args.no_phases,
+                               **{k: v for k, v in overrides.items() if v is not None})
     return sample_profile(n_qubits, spec, args.seed)
 
 
@@ -298,7 +297,7 @@ def cmd_darkbasis(args) -> dict:
         "nullity_route": sub.nullity_route, **_margins({"qr_margin": sub.qr_margin}),
         "checks": checks, "profile": profile_record(profile),
         "basis": sub.basis[..., None].view(np.float64),  # [re, im] per amplitude
-        "projector_diagonal": diagonal.tolist(),
+        "projector_diagonal": diagonal,
     }
     if not (checks["trace_matches_nullity"] and ortho <= 1e-10):
         raise ConsistencyError(f"dark basis failed self-checks: {checks}", record)
@@ -355,7 +354,7 @@ def cmd_montecarlo(args) -> dict:
 
 
 def cmd_sweep(args) -> dict | str:
-    n_list = [int(tok) for tok in args.n_list.split(",") if tok]
+    n_list = [int(tok) for tok in args.n_list.split(",")]
     records = sweep(n_list)
     for rec in records:
         assert rec.order_param * rec.sector_size == rec.n_dark
@@ -399,7 +398,9 @@ def cmd_trajectory(args) -> dict | str:
     base = standard_config(model, args.kappa_ratio, initial, args.trajectories, args.seed,
                            args.waiting_factor)
 
-    ratios = [float(tok) for tok in args.kappa_ratios.split(",")] if args.kappa_ratios else None
+    # a single run is the one-point sweep at --kappa-ratio, whose kappa is base.kappa
+    ratios = ([float(tok) for tok in args.kappa_ratios.split(",")] if args.kappa_ratios
+              else [args.kappa_ratio])
     data: dict = {
         "n": n, "s": s, "initial": _bitstring(initial, n),
         "kappa": base.kappa, "t_max": base.t_max, "n_trajectories": base.n_trajectories,
@@ -411,22 +412,19 @@ def cmd_trajectory(args) -> dict | str:
         expectation = null_emission_probability(initial, dark_subspace(n, s, profile))
         data["projector_expectation"] = expectation
 
-    def stats_block(st):
-        block = {
-            "n_no_click": st.n_no_click, "n_click": st.n_click,
-            "p_no_click": st.p_no_click, "standard_error": st.standard_error,
-            "first_click_times": dataclasses.asdict(st.first_click_times),
-        }
+    points = []
+    for kappa, stats in no_click_vs_kappa(base, [r * profile.max_magnitude for r in ratios]):
+        points.append({
+            "kappa": kappa, "n_no_click": stats.n_no_click, "n_click": stats.n_click,
+            "p_no_click": stats.p_no_click, "standard_error": stats.standard_error,
+            "first_click_times": dataclasses.asdict(stats.first_click_times),
+        })
         if expectation is not None:  # the bright population the engine leaves at t_max
-            block["horizon_residual"] = float(st.norm_grid[-1]) - expectation
-        return block
-
-    if ratios:
-        points = no_click_vs_kappa(base, [r * profile.max_magnitude for r in ratios])
-        data["kappa_sweep"] = [{"kappa": kappa, **stats_block(st)} for kappa, st in points]
-    else:
-        stats = run_trajectories(base)
-        data.update(stats_block(stats))
+            points[-1]["horizon_residual"] = float(stats.norm_grid[-1]) - expectation
+    if args.kappa_ratios:
+        data["kappa_sweep"] = points
+    else:  # the loop ran once, so stats is that run's
+        data.update(points[0])
         if args.histogram or args.format == "csv":
             data["first_click_histogram"] = _click_histogram(stats)
         if expectation is not None:
@@ -435,7 +433,7 @@ def cmd_trajectory(args) -> dict | str:
             data.update(deviation_from_projector=dev, waiting_time_sufficient=sufficient)
             if sufficient:  # p_no_click within max(0.03, 5 SE) of the norm at t_max
                 data["tolerance"] = residual + max(0.03, 5.0 * stats.standard_error)
-    low = min(block.get("horizon_residual", 0.0) for block in data.get("kappa_sweep", [data]))
+    low = min(point.get("horizon_residual", 0.0) for point in points)
     if low < -NORM_CURVE_ERROR:  # the dark weight is conserved, so no norm falls below it
         raise ConsistencyError(f"the no-click norm at t_max is {-low:.3e} below the projector "
                                f"expectation, past the norm error {NORM_CURVE_ERROR:g}", data)
@@ -579,25 +577,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_splice_config(argv))
 
-    config_echo = {
-        k: v for k, v in sorted(vars(args).items())
-        if k not in ("func",) and not callable(v)
-    }
+    config_echo = {k: v for k, v in vars(args).items() if k != "func"}
     try:
-        result = args.func(args)
-    except ConsistencyError as exc:
-        print(f"consistency check failed: {exc}", file=sys.stderr)
-        _emit(_dump_json(_payload(args.command, config_echo, exc.record)), args.output)
-        return 2
-    except (ValueError, MemoryError) as exc:
+        try:
+            result, code = args.func(args), 0
+        except ConsistencyError as exc:
+            print(f"consistency check failed: {exc}", file=sys.stderr)
+            result, code = exc.record, 2
+        # csv / svg payloads carry their own format
+        chunks = [result] if isinstance(result, str) else _dump_json(
+            _payload(args.command, config_echo, result))
+        _emit(chunks, args.output)
+    except (ValueError, MemoryError, OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
-
-    if isinstance(result, str):  # csv / svg payloads carry their own format
-        _emit([result], args.output)
-        return 0
-    _emit(_dump_json(_payload(args.command, config_echo, result)), args.output)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -8,8 +8,6 @@ of the formula and of the lowering blocks.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -110,27 +108,12 @@ def sweep(n_list: list[int]) -> list[SweepRecord]:
     return records
 
 
-def _sig12(x: Fraction) -> str:
-    return f"{float(x):.12g}"
-
-
 def sweep_to_csv(records: list[SweepRecord]) -> str:
     """CSV with header N,s,alpha,order_param,n_dark,sector_size."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["N", "s", "alpha", "order_param", "n_dark", "sector_size"])
-    for rec in records:
-        writer.writerow(
-            [
-                rec.n_qubits,
-                rec.n_excited,
-                _sig12(rec.alpha),
-                _sig12(rec.order_param),
-                rec.n_dark,
-                rec.sector_size,
-            ]
-        )
-    return buf.getvalue()
+    return "".join(["N,s,alpha,order_param,n_dark,sector_size\n"] + [
+        f"{r.n_qubits},{r.n_excited},{float(r.alpha):.12g},{float(r.order_param):.12g},"
+        f"{r.n_dark},{r.sector_size}\n"
+        for r in records])
 
 
 # --------------------------------------------------------------------------

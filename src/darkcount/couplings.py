@@ -133,7 +133,11 @@ def profile_from_json(text: str) -> CouplingProfile:
     obj, label = json.loads(text), "imported"
     if isinstance(obj, dict):
         obj, label = obj.get("couplings"), obj.get("label", label)
+    if not isinstance(label, str):
+        raise ValueError(f"a coupling profile's label is a string, got {json.dumps(label)}")
     try:
+        if any(isinstance(x, bool) for pair in obj for x in pair):
+            raise TypeError
         values = tuple(complex(re, im) for re, im in obj)
     except (TypeError, ValueError):
         raise ValueError("a coupling profile is a list of (re, im) number pairs "

@@ -104,8 +104,8 @@ def monte_carlo_protocol(
     null-emission probability; arrangements draw from independently derived
     Philox streams, so results do not depend on evaluation order.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= np.iinfo(np.int64).max:  # the sample count of rng.binomial
+        raise ValueError(f"trials must be in [1, 2^63 - 1], got {trials}")
     exact = measure_d(n_qubits, n_excited, profile)
     root = np.random.SeedSequence(seed)
     children = root.spawn(len(exact.per_arrangement))

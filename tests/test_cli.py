@@ -617,6 +617,30 @@ def test_non_finite_numbers_are_a_clean_error(capsys, tmp_path, argv, names):
 
 
 @pytest.mark.parametrize("argv", [
+    ["protocol", "--n", "2", "--s", "1", "-o", "{tmp}/dir"],  # IsADirectoryError
+    ["protocol", "--n", "2", "--s", "1", "-o", "{tmp}/file/x.json"],  # the parent is a file
+    ["protocol", "--n", "2", "--s", "1", "--profile-json", "{tmp}/dir"],
+    ["montecarlo", "--n", "2", "--s", "1", "--trials", str(2**63)],
+    ["protocol", "--n", "2", "--s", "1", "--profile-json", "{tmp}/boolean.json"],
+    ["protocol", "--n", "2", "--s", "1", "--profile-json", "{tmp}/number_label.json"],
+    ["protocol", "--n", "2", "--s", "1", "--profile-json", "{tmp}/null_label.json"],
+    ["sweep", "--n-list", ""],
+    ["sweep", "--n-list", "4,,8"],
+], ids=["output-directory", "output-under-a-file", "profile-directory", "trials-2^63",
+        "boolean-coupling", "number-label", "null-label", "empty-n-list", "empty-n-token"])
+def test_every_refusal_prints_one_error_line(capsys, tmp_path, argv):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    (tmp_path / "boolean.json").write_text("[[true, false], [1, 0]]")
+    (tmp_path / "number_label.json").write_text('{"couplings": [[1, 0], [1, 0]], "label": 5}')
+    (tmp_path / "null_label.json").write_text('{"couplings": [[1, 0], [1, 0]], "label": null}')
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
     "count --n 4 --all-s", "rank --n 4 --s 2 --method both", "darkbasis --n 4 --s 2",
     "protocol --n 4 --s 2", "montecarlo --n 4 --s 2 --trials 100", "sweep --n-list 3,4",
     "trajectory --n 2 --s 1 --trajectories 100", "trajectory --n 2 --s 0 --histogram",
@@ -716,6 +740,11 @@ def printed(monkeypatch):
     "darkbasis --n 3 --s 0",  # a 1 x 1 basis
     "darkbasis --n 4 --s 3",  # over half filling: nullity 0, basis []
     "count --n 4 --all-s",
+    "protocol --n 4 --s 2", "montecarlo --n 4 --s 2 --trials 100",
+    "rank --n 4 --s 2 --method both", "sweep --n-list 4,8",
+    "trajectory --n 2 --s 1 --trajectories 100",
+    "trajectory --n 2 --s 1 --trajectories 100 --histogram",
+    "trajectory --n 2 --s 1 --trajectories 100 --kappa-ratios 10,100",
 ])
 def test_streamed_record_matches_json_dumps(capsys, printed, argv):
     code, out = run_cli(capsys, *argv.split())
@@ -729,6 +758,22 @@ def test_failed_darkbasis_record_is_streamed_the_same_way(capsys, printed, skewe
     assert [out] == printed()
 
 
+def test_failed_trajectory_record_is_streamed_the_same_way(capsys, monkeypatch, printed):
+    from darkcount import trajectory
+
+    curve = trajectory._no_jump_norm_curve
+
+    def leaky(config):  # the exit-2 record of test_trajectory_norm_below_the_projector_exits_2
+        times, norms = curve(config)
+        return times, 0.999 * norms
+
+    monkeypatch.setattr(trajectory, "_no_jump_norm_curve", leaky)
+    code, out = run_cli(capsys, "trajectory", "--n", "2", "--s", "1", "--uniform", "1.0",
+                        "--trajectories", "100", "--waiting-factor", "130")
+    assert code == 2
+    assert [out] == printed()
+
+
 def test_non_finite_rows_print_as_json_dumps_does():
     array = np.array([[[np.nan, np.inf], [-np.inf, -0.0]], [[0.0, 1e-300], [-2.5, 1e16]]])
     payload = {"command": "x", "data": {"a": array, "b": [np.nan], "z": array[0, 0]}}
@@ -737,8 +782,8 @@ def test_non_finite_rows_print_as_json_dumps_does():
     assert "[[NaN, Infinity], [-Infinity, -0.0]]" in text
 
 
-@pytest.mark.parametrize("label", ['"data": null', {"data": None}])
-def test_no_input_repeats_the_data_slot(capsys, printed, tmp_path, label):
+def test_quoted_label_and_config_path_stream_as_json_dumps(capsys, printed, tmp_path):
+    label = '"data": null'
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps({"label": label, "couplings": [[1, 0], [0.5, 0.5], [2, 0]]}))
     config = tmp_path / 'x"data": null.cfg'
