@@ -6,8 +6,9 @@ the data fields byte for byte.  A subcommand returns a record or a CSV or
 SVG string, and ``main`` writes either, or the record of a failed check,
 from one call site: a record as one payload, through one encoder.  Exit
 code 0 means every requested computation completed and all cross-method
-consistency checks passed; 2, a check failed; 1, a bad argument, a cap or
-a file that could not be read or written, with one ``error:`` line.
+consistency checks passed; 2, a check failed, even when its record could
+not be written; 1, a bad argument, a cap or a file that could not be read
+or written, with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ from .trajectory import no_click_vs_kappa, standard_config
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "DARKCOUNT_OUTPUT_DIR"
 
-# C(22, 11), where the certificate takes 0.8 s and 173 MB peak RSS and the
-# numeric rank with its block 1.6 s and 564 MB (2-vCPU VM): count stays
-# within seconds and 600 MB
+# C(22, 11), where the certificate takes 0.8-0.9 s and 192 MB peak RSS, the
+# numeric rank with its block 1.3-1.5 s and 554 MB, and count, on one W for
+# both, 1.5-1.9 s and 554 MB (2-vCPU VM): count stays within seconds and 600 MB
 EXACT_SECTOR_CAP = 705_432
 HISTOGRAM_BINS = 40  # rows of trajectory's first-click histogram
 HORIZON_RESIDUAL_LIMIT = 0.01  # bright population left at t_max that counts as drained
@@ -200,12 +201,11 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
 
 def cmd_count(args) -> dict:
     n = args.n
-    s_values = list(range(n + 1)) if args.all_s else [args.s]
-    if s_values == [None]:
-        raise ValueError("pass --s or --all-s")
+    if args.all_s == (args.s is not None):
+        raise ValueError("pass one of --s and --all-s")
     profile = _profile_from_args(args, n)
     results = []
-    for s in s_values:
+    for s in range(n + 1) if args.all_s else [args.s]:
         formula = ndark_formula(n, s)
         size = comb(n, s)
         if s == 0:  # no lowering block: the all-ground state is dark by convention
@@ -578,9 +578,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_splice_config(argv))
 
     config_echo = {k: v for k, v in vars(args).items() if k != "func"}
+    code = 0
     try:
         try:
-            result, code = args.func(args), 0
+            result = args.func(args)
         except ConsistencyError as exc:
             print(f"consistency check failed: {exc}", file=sys.stderr)
             result, code = exc.record, 2
@@ -590,7 +591,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit(chunks, args.output)
     except (ValueError, MemoryError, OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 1
+        return code or 1  # a failed check whose record cannot be written still exits 2
     return code
 
 

@@ -178,26 +178,26 @@ class DarkSubspace:
         return np.concatenate([np.einsum("ij,ij->i", q, q) for q in map(self._q_rows, blocks)])
 
 
-def _read_couplings(op: SectorOperator) -> tuple[np.ndarray, sp.csc_matrix, sp.csc_matrix]:
-    """The couplings g of a lowering block, the block in canonical CSC form, and W.
+def _read_couplings(op: SectorOperator) -> tuple[np.ndarray, sp.csc_matrix]:
+    """The couplings g of a lowering block and the block in canonical CSC form.
 
-    Raises ValueError unless the block maps into the (N, s-1) sector on W's
-    ``indptr`` and ``indices`` and each qubit carries exactly one nonzero
-    coupling; entry k is then g at W's ``qubit[k]``.  Only a block that is
-    not canonical CSC is copied.
+    Raises ValueError unless the block maps into the (N, s-1) sector on the
+    ``indptr`` and ``rows`` of W's :func:`~darkcount.operators.inclusion_pattern`
+    and each qubit carries exactly one nonzero coupling; entry k is then g at
+    W's ``qubit[k]``.  Only a block that is not canonical CSC is copied.
     """
     block = op.matrix
     if block.format != "csc" or not block.has_canonical_format:
         block = block.tocsc(copy=True)  # the caller's arrays stay as they are
         block.sum_duplicates()
     n, s = op.source.n_qubits, op.source.n_excited
-    w, qubit = _inclusion_matrix(n, s)
-    if ((op.target.n_qubits, op.target.n_excited, block.shape) != (n, s - 1, w.shape)
-            or not np.array_equal(block.indptr, w.indptr)
-            or not np.array_equal(block.indices, w.indices)):
+    source, target, indptr, rows, qubit = inclusion_pattern(n, s)
+    if ((op.target, block.shape) != (target, (target.size, source.size))
+            or not np.array_equal(block.indptr, indptr)
+            or not np.array_equal(block.indices, rows)):
         raise ValueError(f"lowering block {op.shape} is not in gauge form: its {block.nnz} entries "
                          f"into the ({op.target.n_qubits}, {op.target.n_excited}) sector are not "
-                         f"the {w.nnz} inclusion pairs of the ({n}, {s}) sector")
+                         f"the {rows.size} inclusion pairs of the ({n}, {s}) sector")
     g = np.zeros(n, dtype=block.dtype)
     g[qubit] = block.data
     if (wrong := g[qubit] != block.data).any() or not g.all():
@@ -206,7 +206,7 @@ def _read_couplings(op: SectorOperator) -> tuple[np.ndarray, sp.csc_matrix, sp.c
             f"lowering block {op.shape} is not in gauge form: qubits "
             f"{sorted(i + 1 for i in bad)} do not carry exactly one nonzero coupling"
         )
-    return g, block, w
+    return g, block
 
 
 def rank_numeric(
@@ -234,9 +234,9 @@ def rank_numeric(
     residual check keeps ||E||_2 and the cutoff below 2.2e-6, so the margin
     needs no check of its own.  No dense array is formed and no LAPACK
     routine called: B is formed on the CSC arrays, each column's s entries
-    over its own gauge product, and W is freed before the products form.
+    over its own gauge product; the read builds no W of its own.
     """
-    g, block = _read_couplings(op)[:2]
+    g, block = _read_couplings(op)
     d_t, d_s = gauge_products(op.target, g), gauge_products(op.source, g)
     with np.errstate(all="ignore"):  # a product out of range shows in the residual
         scaled = (d_t[block.indices] * block.data).reshape(d_s.size, -1) / d_s[:, None]
@@ -291,11 +291,11 @@ def _rumer_kernel(n_qubits: int, n_excited: int) -> tuple[np.ndarray, np.ndarray
     return patterns, signs
 
 
-def _inclusion_matrix(n_qubits: int, n_excited: int) -> tuple[sp.csc_matrix, np.ndarray]:
-    """W in int64 and each entry's qubit, from :func:`~darkcount.operators.inclusion_pattern`."""
-    _, target, indptr, rows, qubit = inclusion_pattern(n_qubits, n_excited)
+def _inclusion_matrix(n_qubits: int, n_excited: int) -> sp.csc_matrix:
+    """W in int64, for the witness and the certificate, on :func:`inclusion_pattern`'s arrays."""
+    _, target, indptr, rows, _ = inclusion_pattern(n_qubits, n_excited)
     return sp.csc_matrix((np.ones(rows.size, dtype=np.int64), rows, indptr),
-                         shape=(target.size, indptr.size - 1)), qubit
+                         shape=(target.size, indptr.size - 1))
 
 
 def _witness(w: sp.csc_matrix, n_excited: int, cols: np.ndarray, signs: np.ndarray) -> int:
@@ -317,7 +317,7 @@ def null_basis(op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERAN
     the Cholesky factor L of K K^T has |L_jj| >= 2^{-s/2} in exact
     arithmetic, at any disorder.  The dark vectors are the rows of
     L^{-1} K times the phases conj(D_s / |D_s|).  The nullity is the
-    dimension minus :func:`rank_exact_modp`, on the witness's own W.
+    dimension minus :func:`rank_exact_modp`, on the W of the block and the witness.
     Raises ValueError unless W K_int^T = 0 exactly for the +-1 signs
     K_int, the Rumer count equals the nullity, K K^T factors with smallest
     |L_jj| over ``tol_policy.cutoff(1, shape)``, and L_g leaves every
@@ -327,16 +327,16 @@ def null_basis(op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERAN
     """
     n, s = op.source.n_qubits, op.source.n_excited
     _check_factor_fits(n, s)
-    g, _, w = _read_couplings(op)  # one W for the read, the witness and the certificate
+    g, _ = _read_couplings(op)
     patterns, signs = _rumer_kernel(n, s)
     path = np.argsort(-np.abs(g), kind="stable").astype(np.uint64)  # qubit at each step
     cols = np.searchsorted(op.source.states,
                            sum(((patterns >> p) & 1) << path[p] for p in range(n)))
-    if witness := _witness(w, s, cols, signs):
+    if witness := _witness(_inclusion_matrix(n, s), s, cols, signs):
         raise ValueError(f"the ({n}, {s}) Rumer vectors fail the integer witness: "
                          f"W K^T has {witness} nonzero entries")
     how: dict = {}
-    nullity = op.shape[1] - _certify(w, n, s, MERSENNE_31, how)
+    nullity = op.shape[1] - rank_exact_modp(n, s, report=how)
     if len(cols) != nullity:
         raise ValueError(f"{len(cols)} Rumer vectors for the exact nullity {nullity}")
     d_s = gauge_products(op.source, g)
@@ -457,12 +457,7 @@ def rank_exact_modp(
         raise ValueError("n_excited must lie in [1, n_qubits] for a lowering block")
     if prime.bit_length() > 31 or prime < 3 or prime % 2 == 0:
         raise ValueError("prime must be an odd prime with at most 31 bits")
-    return _certify(_inclusion_matrix(n_qubits, n_excited)[0], n_qubits, n_excited, prime, report)
-
-
-def _certify(w: sp.csc_matrix, n_qubits: int, n_excited: int, prime: int,
-             report: dict | None) -> int:
-    """:func:`rank_exact_modp` on a W already built, which :func:`null_basis` shares."""
+    w = _inclusion_matrix(n_qubits, n_excited)
     m, k = (w, n_excited) if w.shape[0] <= w.shape[1] else (w.T, n_qubits - n_excited + 1)
     lams = [(n_excited - i) * (n_qubits - n_excited + 1 - i) % prime for i in range(k)]
     v = np.zeros(m.shape[0], dtype=np.int64)

@@ -8,6 +8,7 @@ with both factors here: :func:`inclusion_pattern` and :func:`gauge_products`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,7 @@ def total_sz(n_qubits: int) -> TotalSz:
     return TotalSz(n_qubits)
 
 
+@functools.lru_cache(maxsize=1)  # every command works on one sector at a time
 def inclusion_pattern(
     n_qubits: int, n_excited: int
 ) -> tuple[SectorBasis, SectorBasis, np.ndarray, np.ndarray, np.ndarray]:
@@ -96,8 +98,8 @@ def inclusion_pattern(
     Returns (source, target, indptr, rows, qubit): W is C(N, s-1) x C(N, s),
     column j holds the s rows of source state j with one excited qubit
     de-excited, in ascending order, and ``qubit[k]`` is the qubit that entry
-    k lowers.  The arrays are built per bit, so nothing of size C(N, s) x N
-    is formed.
+    k lowers.  Built per bit, nothing of size C(N, s) x N is formed; the last
+    sector's arrays are kept, read-only and shared, so W is built once a sector.
     """
     source = enumerate_sector(n_qubits, n_excited)
     target = enumerate_sector(n_qubits, n_excited - 1)
@@ -111,6 +113,7 @@ def inclusion_pattern(
         rows[:, k] = np.searchsorted(tgt, src ^ bit)
         qubit[:, k] = np.frexp(bit.astype(np.float64))[1] - 1  # exact log2 of a power of two
     indptr = np.arange(0, rows.size + 1, n_excited, dtype=np.int32)
+    indptr.flags.writeable = rows.flags.writeable = qubit.flags.writeable = False  # cached
     return source, target, indptr, rows.ravel(), qubit.ravel()
 
 

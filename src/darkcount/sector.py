@@ -21,8 +21,8 @@ import numpy as np
 # The one cap on a sector, in states.  The sector itself takes 8 bytes a
 # state of its own.  Per state of the source sector, the exact rank
 # certificate peaks near 200 bytes (530 MB above the interpreter at
-# (24, 12)) and the numeric rank with its block near 750 bytes (505 MB
-# at (22, 11)), so the CLI gates both well below this cap.
+# (24, 12), its kept W included) and the numeric rank with its block near
+# 700 bytes (494 MB at (22, 11)), so the CLI gates both well below this cap.
 SECTOR_CAP = 3_000_000
 
 

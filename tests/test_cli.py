@@ -1,14 +1,20 @@
+import csv
+import io
 import json
 import os
+import shlex
 import sys
 import time
 import tracemalloc
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from darkcount import cli
 from darkcount.cli import build_parser, main
+from darkcount.operators import inclusion_pattern
 
 
 def run_cli(capsys, *argv):
@@ -382,6 +388,54 @@ def test_trajectory_norm_below_the_projector_exits_2(capsys, monkeypatch):
     assert json.loads(out)["data"]["horizon_residual"] == pytest.approx(-5e-4, abs=2e-5)
 
 
+def test_failed_check_keeps_exit_2_when_its_record_cannot_be_written(capsys, monkeypatch,
+                                                                      tmp_path):
+    from darkcount import trajectory
+
+    curve = trajectory._no_jump_norm_curve
+
+    def leaky(config):  # the exit-2 engine of test_trajectory_norm_below_the_projector_exits_2
+        times, norms = curve(config)
+        return times, 0.999 * norms
+
+    monkeypatch.setattr(trajectory, "_no_jump_norm_curve", leaky)
+    code = main(["trajectory", "--n", "2", "--s", "1", "--uniform", "1.0", "--trajectories",
+                 "100", "--waiting-factor", "130", "-o", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    check, error = captured.err.splitlines()
+    assert check.startswith("consistency check failed:") and error.startswith("error:")
+
+
+@pytest.mark.parametrize("argv,builds", [
+    ("count --n 8 --s 4", 1),
+    ("rank --n 8 --s 4 --method both", 1),
+    ("trajectory --n 8 --s 4", 4),  # W(8, 4) for the projector, then W(8, 3), W(8, 2), W(8, 1)
+])
+def test_each_sector_builds_w_once(capsys, argv, builds):
+    inclusion_pattern.cache_clear()
+    assert run_cli(capsys, *argv.split())[0] == 0
+    assert inclusion_pattern.cache_info().misses == builds
+
+
+def test_readme_cli_examples_run(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                if line.startswith("darkcount ")]
+    assert len(commands) == 8
+    for argv in commands:
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        if out.startswith("<svg"):
+            assert ET.fromstring(out).tag.endswith("svg"), argv
+        elif out.startswith("{"):
+            assert json.loads(out)["command"] == argv[0], argv
+        else:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert len(rows) > 1 and len({len(row) for row in rows}) == 1, argv
+
+
 def test_trajectory_disorder_default_is_narrow_and_log3_is_honoured(capsys):
     common = ("trajectory", "--n", "2", "--s", "1", "--trajectories", "100")
     payload = run_json(capsys, *common)
@@ -626,8 +680,10 @@ def test_non_finite_numbers_are_a_clean_error(capsys, tmp_path, argv, names):
     ["protocol", "--n", "2", "--s", "1", "--profile-json", "{tmp}/null_label.json"],
     ["sweep", "--n-list", ""],
     ["sweep", "--n-list", "4,,8"],
+    ["count", "--n", "4", "--all-s", "--s", "2"],
 ], ids=["output-directory", "output-under-a-file", "profile-directory", "trials-2^63",
-        "boolean-coupling", "number-label", "null-label", "empty-n-list", "empty-n-token"])
+        "boolean-coupling", "number-label", "null-label", "empty-n-list", "empty-n-token",
+        "s-and-all-s"])
 def test_every_refusal_prints_one_error_line(capsys, tmp_path, argv):
     (tmp_path / "dir").mkdir()
     (tmp_path / "file").write_text("")

@@ -536,18 +536,18 @@ def test_integer_witness_catches_a_mutated_w_or_rumer_sign(monkeypatch, name, mu
         null_basis(op)
 
 
-def test_null_basis_builds_w_once(monkeypatch):
-    # the integer witness and the rank certificate share one inclusion matrix
-    calls = []
-
-    def counted(n, s):
-        calls.append((n, s))
-        return inclusion_pattern(n, s)
-
+def test_null_basis_builds_w_once():
+    # the read, the integer witness and the rank certificate reuse the block's inclusion matrix
     op = build_lowering_block(8, 4, sample_profile(8, DEFAULT_DISORDER, seed=0))
-    monkeypatch.setattr(darkspace, "inclusion_pattern", counted)
+    built = inclusion_pattern.cache_info().misses
     assert null_basis(op).nullity == 14
-    assert calls == [(8, 4)]
+    assert inclusion_pattern.cache_info().misses == built
+
+
+def test_dark_subspace_builds_w_once():
+    inclusion_pattern.cache_clear()
+    assert dark_subspace(8, 4, sample_profile(8, DEFAULT_DISORDER, seed=0)).nullity == 14
+    assert inclusion_pattern.cache_info().misses == 1
 
 
 def test_gram_breakdown_names_the_sector_and_the_pivot(monkeypatch):

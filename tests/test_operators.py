@@ -13,6 +13,7 @@ from darkcount.operators import (
     PureState,
     build_hamiltonian,
     build_lowering_block,
+    inclusion_pattern,
     single_excitation_dark_states,
     total_s_squared,
     total_sz,
@@ -71,6 +72,15 @@ def test_columns_hold_the_source_couplings(n, s):
         assert len(col) == s
         expected = sorted((g[i] for i in range(n) if m >> i & 1), key=abs)
         assert np.allclose(sorted(col, key=abs), expected)
+
+
+def test_inclusion_pattern_is_shared_and_read_only():
+    pattern = inclusion_pattern(6, 3)
+    assert inclusion_pattern(6, 3) is pattern
+    _, _, indptr, rows, qubit = pattern
+    for array in indptr, rows, qubit:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
 
 
 def test_adjoint_is_raising_block():
