@@ -387,6 +387,9 @@ def cmd_trajectory(args) -> dict | str:
     n, s = args.n, args.s
     if args.kappa_ratios and (args.histogram or args.format == "csv"):
         raise ValueError("--kappa-ratios takes neither --histogram nor --format csv")
+    if args.initial and not (len(args.initial) <= n and set(args.initial) <= {"0", "1"}):
+        raise ValueError(f"initial arrangement {args.initial!r} is not a bitstring of at most "
+                         f"{n} characters 0 and 1")
     profile = _profile_from_args(args, n)
     initial = int(args.initial, 2) if args.initial else (1 << s) - 1
     if initial.bit_count() != s:

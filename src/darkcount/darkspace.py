@@ -257,38 +257,38 @@ def rank_numeric(
     return min(op.shape)
 
 
-@functools.lru_cache(maxsize=8)
-def _rumer_kernel(n_qubits: int, n_excited: int) -> tuple[np.ndarray, np.ndarray]:
-    """ker W in Rumer's non-crossing pairing basis, as (patterns, signs).
+def _rumer_kernel(sector: SectorBasis, path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ker W in Rumer's non-crossing pairing basis on ``path``, as (cols, signs).
 
-    A path steps down at each excited qubit and up at each ground one.  Each
-    ballot sequence (no prefix below zero: C(N, s) - C(N, s-1) of them for
-    2s <= N) closes every down step with the nearest open up step; its
-    vector is the product of the pair singlets over these arcs.  W kills
-    every singlet, hence the product.  Entry [j, c] is the pattern (bit p =
-    step p) and sign +-1 of vector j for choice c of the excited arc ends;
-    c = 0 excites every closing end, giving the ballot pattern itself.
+    A path visits qubit ``path[p]`` at step p, down if it is excited and up
+    if not; the sector's own patterns, read as steps, give every path once.
+    Each ballot sequence (no prefix below zero: C(N, s) - C(N, s-1) of them
+    for 2s <= N) closes every down step with the nearest open up step; its
+    vector is the product of the pair singlets over these arcs, which W
+    kills.  Arc k doubles the terms, its closing qubit excited with the sign
+    kept and its opening one with the sign flipped: entry [j, c] is the
+    sector column and sign of vector j where bit k of c picks arc k's end,
+    and c = 0 is the ballot pattern itself.
     """
-    states = enumerate_sector(n_qubits, n_excited).states
-    down = ((states[:, None] >> np.arange(n_qubits, dtype=np.uint64)) & 1).astype(np.int64)
+    n, s = sector.n_qubits, sector.n_excited
+    down = ((sector.states[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.int64)
     height = np.cumsum(1 - 2 * down, axis=1)
     ballot = np.all(height >= 0, axis=1)
     down, height = down[ballot], height[ballot]
     level = height - 1 + down  # height at the lower end of each step
     arc = np.cumsum(down, axis=1) - 1  # the arc each down step closes
-    opened = np.zeros((down.shape[0], n_qubits + 1), dtype=np.int64)
-    ends = np.zeros((2, down.shape[0], n_excited), dtype=np.int64)  # closing, opening
-    for p in range(n_qubits):
+    opened = np.zeros((down.shape[0], n + 1), dtype=np.int64)
+    ends = np.zeros((2, down.shape[0], s), dtype=np.int64)  # closing, opening
+    for p, qubit in enumerate(path):
         up, dn = np.flatnonzero(down[:, p] == 0), np.flatnonzero(down[:, p])
-        opened[up, level[up, p]] = p
-        ends[0, dn, arc[dn, p]] = p
+        opened[up, level[up, p]] = qubit
+        ends[0, dn, arc[dn, p]] = qubit
         ends[1, dn, arc[dn, p]] = opened[dn, level[dn, p]]
-    choice = (np.arange(1 << n_excited)[:, None] >> np.arange(n_excited)) & 1
-    patterns = sum(np.uint64(1) << ends[choice[:, k], :, k].T.astype(np.uint64)
-                   for k in range(n_excited))
-    signs = 1.0 - 2.0 * (choice.sum(axis=1) % 2)
-    patterns.flags.writeable = signs.flags.writeable = False  # cached: every caller shares them
-    return patterns, signs
+    patterns, signs = np.zeros((down.shape[0], 1), dtype=np.uint64), np.ones(1)
+    for closing, opening in (np.uint64(1) << ends.astype(np.uint64)).transpose(2, 0, 1)[..., None]:
+        patterns = np.hstack([patterns + closing, patterns + opening])
+        signs = np.concatenate([signs, -signs])
+    return np.searchsorted(sector.states, patterns), signs
 
 
 def _inclusion_matrix(n_qubits: int, n_excited: int) -> sp.csc_matrix:
@@ -328,10 +328,8 @@ def null_basis(op: SectorOperator, tol_policy: TolerancePolicy = DEFAULT_TOLERAN
     n, s = op.source.n_qubits, op.source.n_excited
     _check_factor_fits(n, s)
     g, _ = _read_couplings(op)
-    patterns, signs = _rumer_kernel(n, s)
-    path = np.argsort(-np.abs(g), kind="stable").astype(np.uint64)  # qubit at each step
-    cols = np.searchsorted(op.source.states,
-                           sum(((patterns >> p) & 1) << path[p] for p in range(n)))
+    path = np.argsort(-np.abs(g), kind="stable")  # qubit at each step
+    cols, signs = _rumer_kernel(op.source, path)
     if witness := _witness(_inclusion_matrix(n, s), s, cols, signs):
         raise ValueError(f"the ({n}, {s}) Rumer vectors fail the integer witness: "
                          f"W K^T has {witness} nonzero entries")

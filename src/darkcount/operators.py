@@ -144,9 +144,11 @@ def build_lowering_block(
 
 
 def single_excitation_dark_states(profile: CouplingProfile) -> list[PureState]:
-    """The N-1 analytic dark states of the one-excitation sector.
+    """The N-1 analytic dark states of the one-excitation sector: D_1^{-1} ker W.
 
-    State j pairs qubit j with the last qubit N:
+    W(N, 1) is the all-ones row, whose kernel has the star basis e_N - e_j,
+    and D_1 = diag(g).  Scaled by g_N, state j pairs qubit j with the last
+    qubit N:
 
         |d_j> ~ -(g_N / g_j) |e_j> + |e_N>,   j = 1..N-1,
 
@@ -159,16 +161,10 @@ def single_excitation_dark_states(profile: CouplingProfile) -> list[PureState]:
         raise ValueError("no single-excitation dark states exist for fewer than 2 qubits")
     basis = enumerate_sector(n, 1)
     g = profile.as_array()
-    g_last = g[n - 1]
-    states = []
-    for j in range(n - 1):
-        amps = np.zeros(n, dtype=np.complex128)
-        pref = abs(g[j]) / np.sqrt(abs(g[j]) ** 2 + abs(g_last) ** 2)
-        # basis state with only bit j set sits at index j in canonical order
-        amps[j] = -pref * g_last / g[j]
-        amps[n - 1] = pref
-        states.append(PureState(basis=basis, amplitudes=amps))
-    return states
+    star = np.hstack([-np.eye(n - 1), np.ones((n - 1, 1))])  # e_N - e_j, row j
+    rows = star * (g[-1] / gauge_products(basis, g))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return [PureState(basis=basis, amplitudes=row) for row in rows]
 
 
 def total_s_squared(n_qubits: int, n_excited: int) -> np.ndarray:

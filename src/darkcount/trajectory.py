@@ -34,6 +34,7 @@ from .sector import enumerate_sector, state_index
 
 NORM_GRID_POINTS = 4096  # the square of a power of two, as the blocked walk needs
 STRIDE = math.isqrt(NORM_GRID_POINTS)  # grid states per block, and blocks per grid
+TRAJECTORY_BLOCK_CAP = 8192  # excitation-block states: the walk peaks near 8.2 dim^2 arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +45,7 @@ class TrajectoryConfig:
     zero-photon sector PureState for superposition inputs.  Any positive
     horizon runs (:func:`standard_config` holds the default policy); the
     bright weight it leaves is the norm curve's last point less the dark one.
+    An excitation block over ``TRAJECTORY_BLOCK_CAP`` states raises ValueError.
     """
 
     model: HamiltonianModel
@@ -60,6 +62,11 @@ class TrajectoryConfig:
             raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1")
+        n, initial = self.model.n_qubits, self.initial
+        s = initial.basis.n_excited if isinstance(initial, PureState) else int(initial).bit_count()
+        if (dim := sum(math.comb(n, j) for j in range(s + 1))) > TRAJECTORY_BLOCK_CAP:
+            raise ValueError(f"the ({n}, {s}) excitation block holds {dim} states, over "
+                             f"TRAJECTORY_BLOCK_CAP of {TRAJECTORY_BLOCK_CAP}")
 
     @property
     def dt(self) -> float:

@@ -188,6 +188,36 @@ def test_darkbasis_refuses_a_projector_over_the_cap(capsys):
     assert "BASIS_BYTES_CAP" in capsys.readouterr().err
 
 
+def test_trajectory_refuses_a_block_over_the_cap_before_any_work(capsys, monkeypatch):
+    from darkcount import trajectory
+    from darkcount.couplings import uniform_profile
+    from darkcount.operators import HamiltonianModel
+
+    def reached(*args):
+        pytest.fail("trajectory went past the block cap")
+
+    cap = trajectory.TRAJECTORY_BLOCK_CAP  # first, so nothing runs where there is no cap
+    monkeypatch.setattr(trajectory, "TRAJECTORY_BLOCK_CAP", 10)
+    monkeypatch.setattr(cli, "dark_subspace", reached)
+    monkeypatch.setattr(trajectory, "_no_jump_norm_curve", reached)
+    assert main(["trajectory", "--n", "4", "--s", "2"]) == 1
+    assert capsys.readouterr().err == ("error: the (4, 2) excitation block holds 11 states, "
+                                       "over TRAJECTORY_BLOCK_CAP of 10\n")
+    monkeypatch.setattr(trajectory, "TRAJECTORY_BLOCK_CAP", cap)
+    for n, s, dim in [(14, 7, 9908), (15, 7, 16384)]:  # 6 GiB and 16 GiB of dense arrays
+        started = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = main(["trajectory", "--n", str(n), "--s", str(s)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and f"holds {dim} states" in capsys.readouterr().err
+        assert time.perf_counter() - started < 0.5 and peak < 1 << 20, peak
+    model = HamiltonianModel(n_qubits=14, profile=uniform_profile(14, 1.0), n_photon_max=6)
+    assert trajectory.standard_config(model, 100.0, (1 << 6) - 1).initial == 63  # 6476 states
+
+
 @pytest.fixture
 def skewed_rows(monkeypatch):
     """dark_subspace with its first real basis row stretched by 1e-6."""
@@ -436,6 +466,15 @@ def test_readme_cli_examples_run(capsys):
             assert len(rows) > 1 and len({len(row) for row in rows}) == 1, argv
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n### Library example\n", 1)[1].split("```python\n", 1)[1]
+    exec(block.split("```", 1)[0], {})
+    (nullity, d_of_s), (trace,) = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert nullity == "9"
+    assert abs(float(d_of_s) - 9) <= 1e-12 and abs(float(trace) - 9) <= 1e-12
+
+
 def test_trajectory_disorder_default_is_narrow_and_log3_is_honoured(capsys):
     common = ("trajectory", "--n", "2", "--s", "1", "--trajectories", "100")
     payload = run_json(capsys, *common)
@@ -681,9 +720,12 @@ def test_non_finite_numbers_are_a_clean_error(capsys, tmp_path, argv, names):
     ["sweep", "--n-list", ""],
     ["sweep", "--n-list", "4,,8"],
     ["count", "--n", "4", "--all-s", "--s", "2"],
+    *(["trajectory", "--n", "3", "--s", "1", f"--initial={text}"]
+      for text in ("0b01", "1_0", "+01", " 01", "0001")),
 ], ids=["output-directory", "output-under-a-file", "profile-directory", "trials-2^63",
         "boolean-coupling", "number-label", "null-label", "empty-n-list", "empty-n-token",
-        "s-and-all-s"])
+        "s-and-all-s", "initial-0b-prefix", "initial-underscore", "initial-plus-sign",
+        "initial-space", "initial-over-n"])
 def test_every_refusal_prints_one_error_line(capsys, tmp_path, argv):
     (tmp_path / "dir").mkdir()
     (tmp_path / "file").write_text("")

@@ -467,16 +467,15 @@ def test_projector_diagonal_matches_mpmath_oracle(n, s):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_rumer_kernel_is_a_basis_of_ker_w(n):
     for s in range(1, n + 1):
-        patterns, signs = _rumer_kernel(n, s)
-        assert patterns.shape == (ndark_formula(n, s), 2**s)
-        states = np.array(enumerate_sector(n, s).states, dtype=np.uint64)
-        k = np.zeros((patterns.shape[0], states.size), dtype=np.int64)
-        np.add.at(k, (np.arange(patterns.shape[0])[:, None], np.searchsorted(states, patterns)),
-                  signs.astype(np.int64))
+        sector = enumerate_sector(n, s)
+        cols, signs = _rumer_kernel(sector, np.arange(n))
+        assert cols.shape == (ndark_formula(n, s), 2**s)
+        k = np.zeros((cols.shape[0], sector.size), dtype=np.int64)
+        np.add.at(k, (np.arange(cols.shape[0])[:, None], cols), signs.astype(np.int64))
         assert set(np.unique(np.abs(k))) <= {0, 1}  # 2^s distinct patterns per vector
         w = build_lowering_block(n, s, uniform_profile(n, 1.0)).matrix.toarray().real
         assert not np.any(w.astype(np.int64) @ k.T)  # exactly, in integers
-        assert np.linalg.matrix_rank(k) == patterns.shape[0]
+        assert np.linalg.matrix_rank(k) == cols.shape[0]
 
 
 def _qr_oracle(sub, op):
@@ -518,11 +517,10 @@ def _shift_one_w_row(n, s):
     return source, target, indptr, rows, qubit
 
 
-def _flip_one_rumer_sign(n, s):
-    patterns, signs = _rumer_kernel(n, s)
-    signs = signs.copy()
+def _flip_one_rumer_sign(sector, path):
+    cols, signs = _rumer_kernel(sector, path)
     signs[1] *= -1
-    return patterns, signs
+    return cols, signs
 
 
 @pytest.mark.parametrize("name,mutant", [("inclusion_pattern", _shift_one_w_row),

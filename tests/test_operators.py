@@ -123,6 +123,23 @@ def test_two_qubit_lopsided():
     assert np.allclose(amps, np.array([-2.0, 1.0]) / np.sqrt(5.0))
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 33, 64])
+def test_dark_state_family_is_the_closed_form(n):
+    # -(g_N / g_j) e_j + e_N, normalized, in 40 digits: D_1^{-1} on the star kernel of W(N, 1)
+    mpmath = pytest.importorskip("mpmath")
+    profile = sample_profile(n, DEFAULT_DISORDER, seed=n)
+    states = single_excitation_dark_states(profile)
+    g = [mpmath.mpc(complex(v)) for v in profile.as_array()]
+    with mpmath.workdps(40):
+        for j, d in enumerate(states):
+            ratio = -g[-1] / g[j]
+            scale = mpmath.sqrt(abs(ratio) ** 2 + 1)
+            want = {j: ratio / scale, n - 1: 1 / scale}
+            error = mpmath.sqrt(sum(abs(mpmath.mpc(complex(v)) - want.get(i, 0)) ** 2
+                                    for i, v in enumerate(d.amplitudes)))
+            assert error <= 1e-15, (j, float(error))  # the closed form has unit norm
+
+
 @pytest.mark.parametrize("n,seed", [(2, 0), (4, 1), (6, 2), (16, 3), (64, 4)])
 def test_dark_state_family_properties(n, seed):
     profile = sample_profile(n, DEFAULT_DISORDER, seed=seed)
